@@ -20,30 +20,15 @@ from .errors import ConfigError, TrainingError
 from .inference import InferenceConfig, class_indicator, recover_last_layer_gradient
 from .model import Batch, ModelParams, ModelUpdate, Shapes, last_layer_weight_block, local_train, loss_and_grad
 
-ATTACK_KINDS = ("none", "basic", "alternate", "dba", "sybil", "adaptive")
-
 
 @dataclass
 class AttackSpec:
-    """Attack family plus its shared knobs."""
+    """Knobs of the alternate-family attacks (SimConfig validates them)."""
 
-    kind: str
-    trigger: TriggerPattern
     poison_count: int = 125
     boost: float = 2.0
     stealth_rho: float = 0.1
     lambda_clean: float = 1.0
-    dba_parts: int = 2
-
-    def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise ConfigError(f"unknown attack kind {self.kind!r}")
-        if self.poison_count < 0:
-            raise ConfigError("poison_count must be >= 0")
-        if self.boost < 1:
-            raise ConfigError("boost must be >= 1")
-        if self.dba_parts < 1:
-            raise ConfigError("dba_parts must be >= 1")
 
 
 def make_poison_pool(base: LabeledDataset, trig: TriggerPattern) -> LabeledDataset:
@@ -164,33 +149,6 @@ def _weighted_grad(
         _, g = loss_and_grad(theta, Batch(x[pois_idx], y[pois_idx]))
         grad += pois_idx.size * g
     return grad / total
-
-
-def dba_attack(
-    global_params: ModelParams,
-    clean: LabeledDataset,
-    pool_base: LabeledDataset,
-    spec: AttackSpec,
-    part_index: int,
-    epochs: int,
-    lr: float,
-    batch_size: int,
-    seed: int,
-    client_id: int = -1,
-    round_index: int = -1,
-) -> ModelUpdate:
-    """Basic poisoning with only this attacker's slice of the trigger.
-
-    With dba_parts=1 the slice is the whole trigger and the behavior equals
-    the basic attack. Evaluation always applies the full trigger.
-    """
-    part = spec.trigger.part(max(spec.dba_parts, 1), part_index)
-    poison = make_poison_pool(pool_base, part)
-    return basic_attack(
-        global_params, clean, poison, spec.poison_count,
-        epochs, lr, batch_size, seed,
-        client_id=client_id, round_index=round_index,
-    )
 
 
 def sybil_updates(

@@ -7,31 +7,9 @@ documented lowest-index tie rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-
-AGGREGATOR_KINDS = ("fedavg", "krum", "median", "trim", "fltrust", "clustervote")
-
-
-@dataclass
-class AggregatorSpec:
-    """Which aggregator to run, with its Byzantine budget where one applies."""
-
-    kind: str = "fedavg"
-    f: int = 0
-
-    def __post_init__(self):
-        if self.kind not in AGGREGATOR_KINDS:
-            raise ConfigError(f"unknown aggregator {self.kind!r}")
-        if self.f < 0:
-            raise ConfigError("Byzantine budget f must be >= 0")
-
-    @property
-    def aux_required(self) -> bool:
-        return self.kind == "fltrust"
 
 
 def _stack(updates) -> np.ndarray:

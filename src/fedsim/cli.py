@@ -11,7 +11,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .config import apply_overrides, load_config
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError, TrainingError
 from .harness import run_and_write
 
 
@@ -143,6 +143,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (ShapeError, TrainingError) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

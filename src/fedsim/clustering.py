@@ -40,14 +40,12 @@ def active_columns(A: np.ndarray) -> np.ndarray:
     return A.sum(axis=0) > 0
 
 
-def compute_thresholds(A: np.ndarray, rule: str = "participation") -> ClusterThresholds:
+def compute_thresholds(A: np.ndarray) -> ClusterThresholds:
     """Derive both budgets from the sufficiency matrix.
 
-    per_client is the floored mean class count over active clients. With the
-    default "participation" rule, per_cluster is the total participation
-    budget sum(min(m_j, per_client)) spread over the m clusters; the "min"
-    rule instead uses the smallest per-class client count, which collapses
-    whenever some class is rare.
+    per_client is the floored mean class count over active clients;
+    per_cluster is the total participation budget sum(min(m_j, per_client))
+    spread over the m clusters.
     """
     A = np.asarray(A, dtype=np.uint8)
     if A.ndim != 2:
@@ -58,12 +56,7 @@ def compute_thresholds(A: np.ndarray, rule: str = "participation") -> ClusterThr
         raise ConfigError("no client claims any class; cannot derive thresholds")
     m_j = A[:, mask].sum(axis=0).astype(np.int64)
     per_client = max(1, int(np.floor(m_j.mean())))
-    if rule == "participation":
-        per_cluster = int(np.floor(np.minimum(m_j, per_client).sum() / m))
-    elif rule == "min":
-        per_cluster = int(A[:, mask].sum(axis=1).min())
-    else:
-        raise ConfigError(f"unknown threshold rule {rule!r}")
+    per_cluster = int(np.floor(np.minimum(m_j, per_client).sum() / m))
     return ClusterThresholds(per_client=per_client, per_cluster=max(1, per_cluster))
 
 

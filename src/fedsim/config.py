@@ -9,6 +9,9 @@ from typing import Tuple
 
 from .errors import ConfigError
 
+AGGREGATORS = ("fedavg", "krum", "median", "trim", "fltrust", "clustervote")
+ATTACKS = ("none", "basic", "alternate", "dba", "sybil", "adaptive")
+
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -94,9 +97,11 @@ class SimConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        """Reject every bad value or combination before a run generates any data."""
         if not (0.0 < self.selection_ratio <= 1.0):
             raise ConfigError("selection_ratio must lie in (0, 1]")
-        if round(self.selection_ratio * self.n_clients) < 2:
+        per_round = round(self.selection_ratio * self.n_clients)
+        if per_round < 2:
             raise ConfigError("selection must cover at least two clients per round")
         if not (0 <= self.num_malicious <= self.n_clients):
             raise ConfigError("num_malicious must lie in [0, n_clients]")
@@ -113,6 +118,31 @@ class SimConfig:
                 raise ConfigError(f"unknown voting metric {metric!r}")
         if not self.voting_metrics:
             raise ConfigError("need at least one voting metric")
+        if self.aggregator not in AGGREGATORS:
+            raise ConfigError(f"unknown aggregator {self.aggregator!r}")
+        if self.attack not in ATTACKS:
+            raise ConfigError(f"unknown attack {self.attack!r}")
+        if self.agg_f < 0:
+            raise ConfigError("agg_f must be >= 0")
+        if self.aggregator == "krum" and per_round < 2 * self.agg_f + 3:
+            raise ConfigError(f"krum needs at least 2*agg_f+3 = {2 * self.agg_f + 3} "
+                              f"clients per round, got {per_round}")
+        if self.aggregator == "trim" and per_round <= 2 * self.agg_f:
+            raise ConfigError(f"trim needs more than 2*agg_f = {2 * self.agg_f} "
+                              f"clients per round, got {per_round}")
+        if self.aux_classes < 1 and (self.aggregator == "fltrust" or (
+                self.aggregator == "clustervote" and "representation" in self.voting_metrics)):
+            raise ConfigError("fltrust and representation voting need aux_classes >= 1")
+        if self.indicator_obs_cap < 1:
+            raise ConfigError("indicator_obs_cap must be >= 1")
+        if not (0 <= self.poison_count <= self.pool_size):
+            raise ConfigError("poison_count must lie in [0, pool_size]")
+        if self.boost < 1:
+            raise ConfigError("boost must be >= 1")
+        if self.dba_parts < 1:
+            raise ConfigError("dba_parts must be >= 1")
+        if any(not 0 <= i < self.input_dim for i in self.trigger_indices):
+            raise ConfigError("trigger_indices must lie in [0, input_dim)")
 
     @property
     def layer_dims(self) -> Tuple[int, ...]:

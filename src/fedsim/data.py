@@ -1,4 +1,4 @@
-"""Synthetic labeled data, non-IID partitioning, and trigger injection.
+"""Synthetic labeled data, non-IID partitioning, and trigger patterns.
 
 Classes are isotropic unit-variance Gaussians around well-separated seeded
 means, giving a task a linear model can learn. The partitioner mixes a
@@ -9,7 +9,6 @@ the non-IID degree (0 = IID, 1 = fully label-skewed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -225,26 +224,6 @@ def ground_truth_abstract(clients: Sequence[LabeledDataset], tau: int) -> Suffic
     return SufficiencyMatrix(A, tau)
 
 
-def inject_trigger(
-    ds: LabeledDataset, trig: TriggerPattern, count: int, seed: int
-) -> LabeledDataset:
-    """Append `count` triggered copies of randomly chosen samples, relabeled to the target."""
-    if count < 0:
-        raise ConfigError("count must be >= 0")
-    if count == 0:
-        return LabeledDataset(ds.samples.copy(), ds.labels.copy(), ds.num_classes)
-    if count > ds.size:
-        raise ConfigError(f"requested {count} poisoned samples from only {ds.size} base records")
-    if not (0 <= trig.target_label < ds.num_classes):
-        raise ConfigError("trigger target label out of range")
-    rng = np.random.default_rng(seed)
-    picked = rng.choice(ds.size, size=count, replace=False)
-    poisoned = trig.apply(ds.samples[picked])
-    x = np.concatenate([ds.samples, poisoned])
-    y = np.concatenate([ds.labels, np.full(count, trig.target_label, dtype=np.int64)])
-    return LabeledDataset(x, y, ds.num_classes)
-
-
 def concat_datasets(parts: Sequence[LabeledDataset]) -> LabeledDataset:
     """Stack datasets that share a class count."""
     if not parts:
@@ -257,31 +236,3 @@ def concat_datasets(parts: Sequence[LabeledDataset]) -> LabeledDataset:
         np.concatenate([ds.labels for ds in parts]),
         m,
     )
-
-
-def save_dataset(ds: LabeledDataset, path: Path | str) -> None:
-    """Write the documented columnar text format: 'N r_in m' header, then 'label f0 f1 ...' rows."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(f"{ds.size} {ds.input_dim} {ds.num_classes}\n")
-        for label, row in zip(ds.labels, ds.samples):
-            fh.write(str(int(label)) + " " + " ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_dataset(path: Path | str) -> LabeledDataset:
-    """Read a dataset written by save_dataset."""
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ConfigError(f"malformed dataset header in {path}")
-        n, r_in, m = (int(v) for v in header)
-        x = np.empty((n, r_in))
-        y = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            fields = fh.readline().split()
-            if len(fields) != r_in + 1:
-                raise ConfigError(f"malformed dataset row {i} in {path}")
-            y[i] = int(fields[0])
-            x[i] = [float(v) for v in fields[1:]]
-    return LabeledDataset(x, y, m)

@@ -1,4 +1,4 @@
-"""Round-loop orchestration: selection, training, defense, aggregation, metrics.
+"""Round-loop orchestration: selection, training, aggregation, metrics.
 
 A run is a pure function of its SimConfig. Every random draw comes from a
 stream derived from (config seed, purpose tag, round, client), so repeated
@@ -7,10 +7,11 @@ runs produce byte-identical CSV output.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,26 +79,31 @@ def evaluate(
 
 @dataclass
 class RoundRecord:
-    """Everything the metrics sink keeps about one round."""
+    """Everything the metrics sink keeps about one round.
+
+    The fields after `selected` default to empty: only the cluster-vote
+    defense fills in its own, and accuracy and ASR are set once the round
+    has been evaluated.
+    """
 
     round_index: int
     selected: List[int]
-    discarded: List[int]
-    accuracy: float
-    asr: float
-    asr_defined: bool
-    inference_accuracy: Optional[float]
-    per_client_cap: Optional[int]
-    cluster_size_cap: Optional[int]
-    cluster_sizes: List[int]
-    memberships: List[int]
-    votes: List[int]
-    immediate: List[float]
-    accumulated: List[float]
-    malicious_trust: Optional[float]
-    honest_trust: Optional[float]
-    inferred_columns: List[str]
-    indicators: List[str]
+    discarded: List[int] = field(default_factory=list)
+    accuracy: float = 0.0
+    asr: float = 0.0
+    asr_defined: bool = True
+    inference_accuracy: Optional[float] = None
+    per_client_cap: Optional[int] = None
+    cluster_size_cap: Optional[int] = None
+    cluster_sizes: List[int] = field(default_factory=list)
+    memberships: List[int] = field(default_factory=list)
+    votes: List[int] = field(default_factory=list)
+    immediate: List[float] = field(default_factory=list)
+    accumulated: List[float] = field(default_factory=list)
+    malicious_trust: Optional[float] = None
+    honest_trust: Optional[float] = None
+    inferred_columns: List[str] = field(default_factory=list)
+    indicators: List[str] = field(default_factory=list)
     flagged: bool = False
 
     CSV_HEADER = (
@@ -172,25 +178,170 @@ def write_csv(records: Sequence[RoundRecord], path: Path | str) -> None:
             fh.write(rec.to_csv_row() + "\n")
 
 
-class _DefenseState:
-    """Per-run state of the cluster-vote defense.
+# One round of server-side aggregation: (theta, updates in selection order,
+# selected ids, round) -> (new theta, the round's record before evaluation).
+Aggregator = Callable[[ModelParams, List[ModelUpdate], List[int], int],
+                      Tuple[ModelParams, RoundRecord]]
 
-    Indicator vectors are standardized per round and averaged over each
-    client's past selections: one local update carries heavy sample noise,
-    but the class-count signal is persistent, so the running mean sharpens
-    the inferred sufficiency columns as the run progresses.
+
+def run_experiment(cfg: SimConfig) -> ExperimentResult:
+    """Execute the configured federation end to end; fully deterministic."""
+    inf_cfg = inference.InferenceConfig(
+        threshold_mode=cfg.threshold_mode, beta=cfg.beta, client_lr=cfg.lr_client)
+    m, r_in = cfg.num_classes, cfg.input_dim
+    means = class_means(m, r_in, cfg.seed)
+    train = gen_dataset(m, r_in, cfg.per_class, derive_seed(cfg.seed, _TRAIN), means)
+    test = gen_dataset(m, r_in, cfg.test_per_class, derive_seed(cfg.seed, _TEST), means)
+    aux_full = gen_dataset(m, r_in, cfg.aux_per_class, derive_seed(cfg.seed, _AUX), means)
+    aux = aux_full.subset(np.flatnonzero(aux_full.labels < cfg.aux_classes))
+
+    partitions = partition_noniid(train, cfg.n_clients, cfg.noniid_p, cfg.shards,
+                                  derive_seed(cfg.seed, _PART))
+    ground_truth = ground_truth_abstract(partitions, cfg.tau)
+    trigger = TriggerPattern(cfg.trigger_indices, cfg.trigger_values, cfg.trigger_target)
+    clients = _Clients(cfg, partitions, trigger, inf_cfg)
+
+    theta = init_model(cfg.layer_dims, derive_seed(cfg.seed, _INIT), zero_last=True)
+    aggregate: Aggregator = (
+        ClusterVote(cfg, inf_cfg, ground_truth, aux) if cfg.aggregator == "clustervote"
+        else functools.partial(_baseline_round, cfg, aux))
+
+    records: List[RoundRecord] = []
+    for t in range(cfg.rounds):
+        selected = select_clients(cfg.n_clients, cfg.selection_ratio, t, cfg.seed)
+        theta, record = aggregate(theta, clients.updates(theta, selected, t), selected, t)
+        record.accuracy, record.asr, record.asr_defined = evaluate(
+            theta, test, trigger, cfg.base_count)
+        records.append(record)
+    return ExperimentResult(cfg, records, ground_truth, theta)
+
+
+def _build_attack_pools(
+    cfg: SimConfig,
+    trigger: TriggerPattern,
+    partitions: Sequence[LabeledDataset],
+) -> Dict[int, LabeledDataset]:
+    """Each attacker's poison pool, keyed by client id.
+
+    All malicious clients poison from one fixed pool of base records drawn
+    from their combined clean data. For the distributed trigger each
+    attacker gets the pool stamped with only its own trigger slice; the
+    part index cycles over attackers in id order.
+    """
+    mal = cfg.malicious_ids
+    base_union = concat_datasets([partitions[cid] for cid in mal])
+    pool_size = min(cfg.pool_size, base_union.size)
+    if cfg.poison_count > pool_size:
+        raise ConfigError(f"poison_count {cfg.poison_count} exceeds the attackers' "
+                          f"pool of {pool_size} records")
+    rng = np.random.default_rng([cfg.seed, _POOL])
+    base = base_union.subset(rng.choice(base_union.size, size=pool_size, replace=False))
+    if cfg.attack == "dba":
+        pools = [attacks.make_poison_pool(base, trigger.part(cfg.dba_parts, k))
+                 for k in range(cfg.dba_parts)]
+    else:
+        pools = [attacks.make_poison_pool(base, trigger)]
+    return {cid: pools[rank % len(pools)] for rank, cid in enumerate(mal)}
+
+
+class _Clients:
+    """Local training of the selected clients, honest or attacking, for one run."""
+
+    def __init__(self, cfg: SimConfig, partitions: Sequence[LabeledDataset],
+                 trigger: TriggerPattern, inf_cfg: inference.InferenceConfig):
+        self.cfg = cfg
+        self.partitions = partitions
+        self.inf_cfg = inf_cfg
+        self.spec = attacks.AttackSpec(
+            poison_count=cfg.poison_count,
+            boost=cfg.boost,
+            stealth_rho=cfg.stealth_rho,
+            lambda_clean=cfg.lambda_clean,
+        )
+        # attacker id -> its poison pool; empty when nobody attacks
+        attacking = cfg.attack != "none" and cfg.num_malicious > 0
+        self.pools = _build_attack_pools(cfg, trigger, partitions) if attacking else {}
+
+    def updates(self, theta: ModelParams, selected: Sequence[int], t: int) -> List[ModelUpdate]:
+        """One update per selected client, in selection order.
+
+        Sybil colluders all submit copies of one update, trained when the
+        first of them comes up. A failure names the client being trained.
+        """
+        cfg = self.cfg
+        updates: Dict[int, ModelUpdate] = {}
+        for cid in selected:
+            if cid in updates:
+                continue  # a sybil copy, made with its leader's update
+            try:
+                if cid not in self.pools:
+                    ds = self.partitions[cid]
+                    updates[cid] = local_train(
+                        theta, Batch(ds.samples, ds.labels),
+                        cfg.epochs, cfg.lr_client, cfg.batch_size,
+                        derive_seed(cfg.seed, _CLIENT, t, cid),
+                        client_id=cid, round_index=t,
+                    )
+                elif cfg.attack == "sybil":
+                    leader = self._attack("alternate", theta, cid, t)
+                    colluders = [c for c in selected if c in self.pools]
+                    for upd in attacks.sybil_updates(leader, colluders, t):
+                        updates[upd.client_id] = upd
+                else:
+                    updates[cid] = self._attack(cfg.attack, theta, cid, t)
+            except (ShapeError, TrainingError, ConfigError) as exc:
+                raise type(exc)(f"round {t}, client {cid}: {exc}") from exc
+        return [updates[cid] for cid in selected]
+
+    def _attack(self, kind: str, theta: ModelParams, cid: int, t: int) -> ModelUpdate:
+        cfg, clean, pool = self.cfg, self.partitions[cid], self.pools[cid]
+        seed = derive_seed(cfg.seed, _CLIENT, t, cid)
+        if kind in ("basic", "dba"):  # dba differs only in its pool's trigger slice
+            return attacks.basic_attack(
+                theta, clean, pool, cfg.poison_count,
+                cfg.epochs, cfg.lr_client, cfg.batch_size, seed,
+                client_id=cid, round_index=t,
+            )
+        # alternate-family attacks anchor on the attacker's own honest update
+        benign = local_train(
+            theta, Batch(clean.samples, clean.labels),
+            cfg.epochs, cfg.lr_client, cfg.batch_size,
+            derive_seed(cfg.seed, _BENIGN, t, cid),
+        ).delta
+        if kind == "alternate":
+            return attacks.alternate_attack(
+                theta, clean, pool, benign, self.spec,
+                cfg.epochs, cfg.lr_client, cfg.batch_size, seed,
+                client_id=cid, round_index=t,
+            )
+        return attacks.adaptive_attack(
+            theta, clean, pool, benign, self.spec, self.inf_cfg,
+            cfg.epochs, cfg.lr_client, cfg.batch_size, seed,
+            client_id=cid, round_index=t,
+        )
+
+
+class ClusterVote:
+    """The four-stage defense as a stateful aggregator.
+
+    Each round runs inference, clustering, voting, trust, discard and
+    weighted aggregation. Indicator vectors are summed over each client's
+    past selections: one local update carries heavy sample noise, but the
+    class-count signal is persistent, so the running estimate sharpens the
+    inferred sufficiency columns as the run progresses.
     """
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, inf_cfg: inference.InferenceConfig,
+                 ground_truth: SufficiencyMatrix, aux: LabeledDataset):
+        self.cfg = cfg
+        self.inf_cfg = inf_cfg
+        self.ground_truth = ground_truth
+        # representation features use one fixed auxiliary class
+        self.aux_rep = aux.subset(np.flatnonzero(aux.labels == 0))
+        self.malicious = set(cfg.malicious_ids) if cfg.attack != "none" else set()
         self.ledger = trust.TrustLedger(cfg.n_clients, gamma=cfg.gamma)
-        self.inference_cfg = inference.InferenceConfig(
-            threshold_mode=cfg.threshold_mode,
-            beta=cfg.beta,
-            client_lr=cfg.lr_client,
-        )
         self.indicator_sum = np.zeros((cfg.n_clients, cfg.num_classes))
         self.indicator_obs = np.zeros(cfg.n_clients, dtype=np.int64)
-        self.indicator_obs_cap = cfg.indicator_obs_cap
 
     def observe(self, client_id: int, u: np.ndarray) -> np.ndarray:
         """Fold one round's indicator into the client's running estimate.
@@ -203,322 +354,114 @@ class _DefenseState:
         absolute mode gets the per-observation mean since its threshold
         carries units.
         """
-        if self.indicator_obs[client_id] < self.indicator_obs_cap:
+        if self.indicator_obs[client_id] < self.cfg.indicator_obs_cap:
             self.indicator_sum[client_id] += u
             self.indicator_obs[client_id] += 1
-        if self.inference_cfg.threshold_mode == "absolute":
+        if self.inf_cfg.threshold_mode == "absolute":
             return self.indicator_sum[client_id] / self.indicator_obs[client_id]
         return self.indicator_sum[client_id]
 
-
-def _build_attack_pools(
-    cfg: SimConfig,
-    spec: attacks.AttackSpec,
-    partitions: Sequence[LabeledDataset],
-) -> Tuple[List[LabeledDataset], Dict[int, int]]:
-    """Shared poison pool(s) and the attacker -> trigger-part map.
-
-    All malicious clients poison from one fixed pool of base records drawn
-    from their combined clean data. For the distributed trigger each
-    attacker gets the pool stamped with only its own trigger slice; the
-    part index cycles over attackers in id order.
-    """
-    mal = cfg.malicious_ids
-    base_union = concat_datasets([partitions[cid] for cid in mal])
-    pool_size = min(cfg.pool_size, base_union.size)
-    rng = np.random.default_rng([cfg.seed, _POOL])
-    picked = rng.choice(base_union.size, size=pool_size, replace=False)
-    base = base_union.subset(picked)
-
-    part_of = {cid: rank % spec.dba_parts for rank, cid in enumerate(mal)}
-    if spec.kind == "dba":
-        pools = [attacks.make_poison_pool(base, spec.trigger.part(spec.dba_parts, k))
-                 for k in range(spec.dba_parts)]
-    else:
-        pools = [attacks.make_poison_pool(base, spec.trigger)]
-    return pools, part_of
-
-
-def run_experiment(cfg: SimConfig) -> ExperimentResult:
-    """Execute the configured federation end to end; fully deterministic."""
-    m, r_in = cfg.num_classes, cfg.input_dim
-    means = class_means(m, r_in, cfg.seed)
-    train = gen_dataset(m, r_in, cfg.per_class, derive_seed(cfg.seed, _TRAIN), means)
-    test = gen_dataset(m, r_in, cfg.test_per_class, derive_seed(cfg.seed, _TEST), means)
-    aux_full = gen_dataset(m, r_in, cfg.aux_per_class, derive_seed(cfg.seed, _AUX), means)
-    aux_mask = aux_full.labels < cfg.aux_classes
-    aux = aux_full.subset(np.flatnonzero(aux_mask))
-    aux_rep_class = 0  # representation features use one fixed auxiliary class
-    aux_rep = aux.subset(np.flatnonzero(aux.labels == aux_rep_class))
-
-    partitions = partition_noniid(train, cfg.n_clients, cfg.noniid_p, cfg.shards,
-                                  derive_seed(cfg.seed, _PART))
-    ground_truth = ground_truth_abstract(partitions, cfg.tau)
-
-    trigger = TriggerPattern(cfg.trigger_indices, cfg.trigger_values, cfg.trigger_target)
-    spec = attacks.AttackSpec(
-        kind=cfg.attack,
-        trigger=trigger,
-        poison_count=cfg.poison_count,
-        boost=cfg.boost,
-        stealth_rho=cfg.stealth_rho,
-        lambda_clean=cfg.lambda_clean,
-        dba_parts=cfg.dba_parts,
-    )
-    attacking = cfg.attack != "none" and cfg.num_malicious > 0
-    pools: List[LabeledDataset] = []
-    part_of: Dict[int, int] = {}
-    if attacking:
-        pools, part_of = _build_attack_pools(cfg, spec, partitions)
-
-    theta = init_model(cfg.layer_dims, derive_seed(cfg.seed, _INIT), zero_last=True)
-    defense = _DefenseState(cfg) if cfg.aggregator == "clustervote" else None
-    agg_spec = baselines.AggregatorSpec(kind=cfg.aggregator, f=cfg.agg_f)
-    malicious = set(cfg.malicious_ids) if attacking else set()
-
-    records: List[RoundRecord] = []
-    for t in range(cfg.rounds):
-        selected = select_clients(cfg.n_clients, cfg.selection_ratio, t, cfg.seed)
-        updates = _client_updates(cfg, spec, theta, partitions, pools, part_of,
-                                  malicious, selected, t,
-                                  defense.inference_cfg if defense else None)
-        if defense is not None:
-            theta, record = _defense_round(cfg, defense, theta, updates, selected,
-                                           ground_truth, aux_rep, t)
-        else:
-            theta = _baseline_round(cfg, agg_spec, theta, updates, aux, t)
-            record = RoundRecord(
-                round_index=t, selected=selected, discarded=[],
-                accuracy=0.0, asr=0.0, asr_defined=True,
-                inference_accuracy=None, per_client_cap=None, cluster_size_cap=None,
-                cluster_sizes=[], memberships=[], votes=[], immediate=[],
-                accumulated=[], malicious_trust=None, honest_trust=None,
-                inferred_columns=[], indicators=[],
-            )
-        record.accuracy, record.asr, record.asr_defined = evaluate(
-            theta, test, trigger, cfg.base_count)
-        records.append(record)
-    return ExperimentResult(cfg, records, ground_truth, theta)
-
-
-def _client_updates(
-    cfg: SimConfig,
-    spec: attacks.AttackSpec,
-    theta: ModelParams,
-    partitions: Sequence[LabeledDataset],
-    pools: Sequence[LabeledDataset],
-    part_of: Dict[int, int],
-    malicious: Set[int],
-    selected: Sequence[int],
-    t: int,
-    inf_cfg: Optional[inference.InferenceConfig],
-) -> List[ModelUpdate]:
-    """Local training for every selected client, honest or attacking."""
-    updates: Dict[int, ModelUpdate] = {}
-    mal_selected = sorted(set(selected) & malicious)
-
-    try:
-        for cid in selected:
-            if cid in malicious:
-                continue
-            ds = partitions[cid]
-            updates[cid] = local_train(
-                theta, Batch(ds.samples, ds.labels),
-                cfg.epochs, cfg.lr_client, cfg.batch_size,
-                derive_seed(cfg.seed, _CLIENT, t, cid),
-                client_id=cid, round_index=t,
-            )
-
-        if mal_selected:
-            if spec.kind == "sybil":
-                leader = mal_selected[0]
-                leader_update = _attack_update(cfg, spec, theta, partitions, pools,
-                                               part_of, leader, t, inf_cfg,
-                                               kind_override="alternate")
-                for upd in attacks.sybil_updates(leader_update, mal_selected, t):
-                    updates[upd.client_id] = upd
-            else:
-                for cid in mal_selected:
-                    updates[cid] = _attack_update(cfg, spec, theta, partitions, pools,
-                                                  part_of, cid, t, inf_cfg)
-    except (ShapeError, TrainingError, ConfigError) as exc:
-        done = set(updates)
-        failing = next((c for c in selected if c not in done), "?")
-        raise type(exc)(f"round {t}, client {failing}: {exc}") from exc
-    out = [updates[cid] for cid in selected]
-    for upd in out:
-        if upd.delta.size != theta.dim:
-            raise ShapeError(f"client {upd.client_id} returned a malformed update")
-    return out
-
-
-def _attack_update(
-    cfg: SimConfig,
-    spec: attacks.AttackSpec,
-    theta: ModelParams,
-    partitions: Sequence[LabeledDataset],
-    pools: Sequence[LabeledDataset],
-    part_of: Dict[int, int],
-    cid: int,
-    t: int,
-    inf_cfg: Optional[inference.InferenceConfig],
-    kind_override: Optional[str] = None,
-) -> ModelUpdate:
-    kind = kind_override or spec.kind
-    clean = partitions[cid]
-    seed = derive_seed(cfg.seed, _CLIENT, t, cid)
-    if kind == "basic":
-        return attacks.basic_attack(
-            theta, clean, pools[0], spec.poison_count,
-            cfg.epochs, cfg.lr_client, cfg.batch_size, seed,
-            client_id=cid, round_index=t,
-        )
-    if kind == "dba":
-        pool = pools[part_of[cid]]
-        return attacks.basic_attack(
-            theta, clean, pool, spec.poison_count,
-            cfg.epochs, cfg.lr_client, cfg.batch_size, seed,
-            client_id=cid, round_index=t,
-        )
-    # alternate-family attacks anchor on the attacker's own honest update
-    benign = local_train(
-        theta, Batch(clean.samples, clean.labels),
-        cfg.epochs, cfg.lr_client, cfg.batch_size,
-        derive_seed(cfg.seed, _BENIGN, t, cid),
-    ).delta
-    if kind == "alternate":
-        return attacks.alternate_attack(
-            theta, clean, pools[0], benign, spec,
-            cfg.epochs, cfg.lr_client, cfg.batch_size, seed,
-            client_id=cid, round_index=t,
-        )
-    if kind == "adaptive":
-        assert inf_cfg is not None or cfg.aggregator != "clustervote"
-        cfg_inf = inf_cfg or inference.InferenceConfig(
-            threshold_mode=cfg.threshold_mode, beta=cfg.beta, client_lr=cfg.lr_client)
-        return attacks.adaptive_attack(
-            theta, clean, pools[0], benign, spec, cfg_inf,
-            cfg.epochs, cfg.lr_client, cfg.batch_size, seed,
-            client_id=cid, round_index=t,
-        )
-    raise ConfigError(f"unhandled attack kind {kind!r}")
-
-
-def _defense_round(
-    cfg: SimConfig,
-    defense: _DefenseState,
-    theta: ModelParams,
-    updates: List[ModelUpdate],
-    selected: List[int],
-    ground_truth: SufficiencyMatrix,
-    aux_rep: LabeledDataset,
-    t: int,
-) -> Tuple[ModelParams, RoundRecord]:
-    """Inference, clustering, voting, trust, discard, weighted aggregation."""
-    shapes = theta.shapes
-    deltas = [u.delta for u in updates]
-    indicators = [
-        inference.class_indicator(
-            inference.recover_last_layer_gradient(d, shapes, cfg.lr_client))
-        for d in deltas
-    ]
-    smoothed = [defense.observe(cid, u) for cid, u in zip(selected, indicators)]
-    A_hat = np.stack(
-        [inference.infer_column(u, defense.inference_cfg) for u in smoothed], axis=1)
-    inf_acc = inference.distribution_accuracy(ground_truth.A[:, selected], A_hat)
-
-    if A_hat.sum() > 0:
-        thresholds = clustering.compute_thresholds(A_hat)
-        x = clustering.greedy_cluster(A_hat, thresholds)
-    else:
-        # degenerate round: nobody claims any class, nobody can vote
-        thresholds = clustering.ClusterThresholds(1, 1)
-        x = np.zeros_like(A_hat)
-    k_vote = max(1, thresholds.per_cluster // 2)
-
-    votes = np.zeros(len(selected), dtype=np.int64)
-    if "gradient" in cfg.voting_metrics:
-        votes += trust.cluster_votes(x, deltas, k_vote)
-    if "representation" in cfg.voting_metrics:
-        reps = [
-            representation(
-                ModelParams(theta.flat + d, list(shapes)),
-                Batch(aux_rep.samples, aux_rep.labels),
-            )
+    def __call__(self, theta: ModelParams, updates: List[ModelUpdate],
+                 selected: List[int], t: int) -> Tuple[ModelParams, RoundRecord]:
+        cfg = self.cfg
+        shapes = theta.shapes
+        deltas = [u.delta for u in updates]
+        indicators = [
+            inference.class_indicator(
+                inference.recover_last_layer_gradient(d, shapes, cfg.lr_client))
             for d in deltas
         ]
-        votes += trust.cluster_votes(x, reps, k_vote)
+        smoothed = [self.observe(cid, u) for cid, u in zip(selected, indicators)]
+        A_hat = np.stack([inference.infer_column(u, self.inf_cfg) for u in smoothed], axis=1)
+        inf_acc = inference.distribution_accuracy(self.ground_truth.A[:, selected], A_hat)
 
-    prev = defense.ledger.previous_immediate()
-    accumulated = defense.ledger.update(selected, votes)
-    discard = trust.median_discard(prev, selected)
+        if A_hat.sum() > 0:
+            thresholds = clustering.compute_thresholds(A_hat)
+            x = clustering.greedy_cluster(A_hat, thresholds)
+        else:
+            # degenerate round: nobody claims any class, nobody can vote
+            thresholds = clustering.ClusterThresholds(1, 1)
+            x = np.zeros_like(A_hat)
+        k_vote = max(1, thresholds.per_cluster // 2)
 
-    surviving = [i for i, cid in enumerate(selected) if cid not in discard]
-    flagged = len(surviving) == 0
-    if not flagged:
-        theta = trust.aggregate(
-            theta,
-            [updates[i] for i in surviving],
-            [accumulated[i] for i in surviving],
-            cfg.lr_server,
-            toward_clients=not cfg.strict_paper_sign,
+        votes = np.zeros(len(selected), dtype=np.int64)
+        if "gradient" in cfg.voting_metrics:
+            votes += trust.cluster_votes(x, deltas, k_vote)
+        if "representation" in cfg.voting_metrics:
+            reps = [
+                representation(
+                    ModelParams(theta.flat + d, list(shapes)),
+                    Batch(self.aux_rep.samples, self.aux_rep.labels),
+                )
+                for d in deltas
+            ]
+            votes += trust.cluster_votes(x, reps, k_vote)
+
+        prev = self.ledger.immediate  # last round's map; update() replaces it
+        accumulated = self.ledger.update(selected, votes)
+        discard = trust.median_discard(prev, selected)
+
+        surviving = [i for i, cid in enumerate(selected) if cid not in discard]
+        flagged = len(surviving) == 0
+        if not flagged:
+            theta = trust.aggregate(
+                theta,
+                [updates[i] for i in surviving],
+                [accumulated[i] for i in surviving],
+                cfg.lr_server,
+                toward_clients=not cfg.strict_paper_sign,
+            )
+
+        sizes, memberships = clustering.membership_histograms(x)
+        mal_idx = [i for i, cid in enumerate(selected) if cid in self.malicious]
+        hon_idx = [i for i, cid in enumerate(selected) if cid not in self.malicious]
+        record = RoundRecord(
+            round_index=t,
+            selected=list(selected),
+            discarded=sorted(discard),
+            inference_accuracy=inf_acc,
+            per_client_cap=thresholds.per_client,
+            cluster_size_cap=thresholds.per_cluster,
+            cluster_sizes=list(sizes),
+            memberships=list(memberships),
+            votes=list(int(v) for v in votes),
+            immediate=[self.ledger.immediate[cid] for cid in selected],
+            accumulated=[float(v) for v in accumulated],
+            malicious_trust=float(np.mean(accumulated[mal_idx])) if mal_idx else None,
+            honest_trust=float(np.mean(accumulated[hon_idx])) if hon_idx else None,
+            inferred_columns=["".join(str(b) for b in A_hat[:, i]) for i in range(len(selected))],
+            indicators=["|".join(f"{v:.9g}" for v in u) for u in indicators],
+            flagged=flagged,
         )
-
-    sizes, memberships = clustering.membership_histograms(x)
-    mal = set(cfg.malicious_ids) if cfg.attack != "none" else set()
-    mal_idx = [i for i, cid in enumerate(selected) if cid in mal]
-    hon_idx = [i for i, cid in enumerate(selected) if cid not in mal]
-    record = RoundRecord(
-        round_index=t,
-        selected=list(selected),
-        discarded=sorted(discard),
-        accuracy=0.0, asr=0.0, asr_defined=True,
-        inference_accuracy=inf_acc,
-        per_client_cap=thresholds.per_client,
-        cluster_size_cap=thresholds.per_cluster,
-        cluster_sizes=list(sizes),
-        memberships=list(memberships),
-        votes=list(int(v) for v in votes),
-        immediate=[float(defense.ledger.immediate[cid]) for cid in selected],
-        accumulated=[float(v) for v in accumulated],
-        malicious_trust=float(np.mean(accumulated[mal_idx])) if mal_idx else None,
-        honest_trust=float(np.mean(accumulated[hon_idx])) if hon_idx else None,
-        inferred_columns=["".join(str(b) for b in A_hat[:, i]) for i in range(len(selected))],
-        indicators=["|".join(f"{v:.9g}" for v in u) for u in indicators],
-        flagged=flagged,
-    )
-    return theta, record
+        return theta, record
 
 
 def _baseline_round(
     cfg: SimConfig,
-    agg_spec: baselines.AggregatorSpec,
+    aux: LabeledDataset,
     theta: ModelParams,
     updates: List[ModelUpdate],
-    aux: LabeledDataset,
+    selected: List[int],
     t: int,
-) -> ModelParams:
+) -> Tuple[ModelParams, RoundRecord]:
+    """One of the five reference aggregators; its record has no defense fields."""
     deltas = [u.delta for u in updates]
-    if agg_spec.kind == "fedavg":
+    if cfg.aggregator == "fedavg":
         step = baselines.fedavg(deltas)
-    elif agg_spec.kind == "krum":
-        step = baselines.krum(deltas, agg_spec.f)
-    elif agg_spec.kind == "median":
+    elif cfg.aggregator == "krum":
+        step = baselines.krum(deltas, cfg.agg_f)
+    elif cfg.aggregator == "median":
         step = baselines.coordinate_median(deltas)
-    elif agg_spec.kind == "trim":
-        step = baselines.trimmed_mean(deltas, agg_spec.f)
-    elif agg_spec.kind == "fltrust":
-        if aux.size == 0:
-            raise ConfigError("fltrust requires a non-empty auxiliary dataset")
+    elif cfg.aggregator == "trim":
+        step = baselines.trimmed_mean(deltas, cfg.agg_f)
+    else:  # fltrust, anchored on the server's own update on the auxiliary set
         server = local_train(
             theta, Batch(aux.samples, aux.labels),
             cfg.epochs, cfg.lr_client, cfg.batch_size,
             derive_seed(cfg.seed, _SERVER, t),
         ).delta
         step = baselines.fltrust(deltas, server)
-    else:
-        raise ConfigError(f"unhandled aggregator {agg_spec.kind!r}")
-    return ModelParams(theta.flat + step, list(theta.shapes))
+    return ModelParams(theta.flat + step, list(theta.shapes)), RoundRecord(t, selected)
 
 
 def run_and_write(cfg: SimConfig, out_dir: Path | str | None = None) -> Dict[str, object]:

@@ -74,19 +74,6 @@ def infer_column(u: np.ndarray, cfg: InferenceConfig) -> np.ndarray:
     return (u > beta).astype(np.uint8)
 
 
-def infer_matrix(
-    deltas: Sequence[np.ndarray],
-    shapes: Sequence[Tuple[int, int]],
-    cfg: InferenceConfig,
-) -> np.ndarray:
-    """Inferred sufficiency columns for a batch of updates, as an m x k matrix."""
-    cols = []
-    for delta in deltas:
-        g = recover_last_layer_gradient(delta, shapes, cfg.client_lr)
-        cols.append(infer_column(class_indicator(g), cfg))
-    return np.stack(cols, axis=1)
-
-
 def distribution_accuracy(A: np.ndarray, A_hat: np.ndarray) -> float:
     """Fraction of matching elements between two bit matrices."""
     A = np.asarray(A)

@@ -72,22 +72,6 @@ def flatten(layers: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def unflatten(flat: np.ndarray, shapes: Sequence[Tuple[int, int]]) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Inverse of flatten: split a flat vector into (weight, bias) copies."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.size != param_dim(shapes):
-        raise ShapeError(f"vector of length {flat.size} does not fit shapes {shapes}")
-    out = []
-    off = 0
-    for rows, cols in shapes:
-        w = flat[off:off + rows * cols].reshape(rows, cols).copy()
-        off += rows * cols
-        b = flat[off:off + rows].copy()
-        off += rows
-        out.append((w, b))
-    return out
-
-
 @dataclass
 class ModelUpdate:
     """Difference between a locally trained model and the global model."""
@@ -278,9 +262,4 @@ def representation(params: ModelParams, aux: Batch) -> np.ndarray:
 
 def last_layer_weight_block(flat: np.ndarray, shapes: Sequence[Tuple[int, int]]) -> np.ndarray:
     """View of the final layer's weight matrix inside a flat vector."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.size != param_dim(shapes):
-        raise ShapeError("vector length does not match shapes")
-    rows, cols = shapes[-1]
-    off = param_dim(shapes) - (rows * cols + rows)
-    return flat[off:off + rows * cols].reshape(rows, cols)
+    return ModelParams(flat, list(shapes)).layers()[-1][0]

@@ -12,7 +12,7 @@ round before the surviving updates are averaged direction-wise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Set
+from typing import Dict, Iterable, Mapping, Sequence, Set
 
 import numpy as np
 
@@ -93,34 +93,23 @@ def immediate_trust(K: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrustLedger:
-    """Per-client voting and trust state carried across rounds.
+    """Per-client trust state carried across rounds.
 
     `accumulated_raw` holds the undiscounted-sum recursion acc <- gamma*acc
-    + T_now for selected clients (frozen while unselected); `accumulated`
-    is its per-round normalized snapshot used as aggregation weights.
-    `immediate_history` keeps each round's (client -> immediate trust) map
-    for the next round's median discard.
+    + T_now for selected clients (frozen while unselected). `immediate` is
+    the latest round's (client -> immediate trust) map, which the next
+    round's median discard reads.
     """
 
     num_clients: int
     gamma: float = 0.1
-    votes: np.ndarray = field(init=False)
-    immediate: np.ndarray = field(init=False)
     accumulated_raw: np.ndarray = field(init=False)
-    accumulated: np.ndarray = field(init=False)
-    immediate_history: List[Dict[int, float]] = field(default_factory=list)
+    immediate: Dict[int, float] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError("gamma must lie strictly between 0 and 1")
-        self.votes = np.zeros(self.num_clients, dtype=np.int64)
-        self.immediate = np.zeros(self.num_clients)
         self.accumulated_raw = np.zeros(self.num_clients)
-        self.accumulated = np.zeros(self.num_clients)
-
-    def previous_immediate(self) -> Dict[int, float]:
-        """Last round's immediate-trust map (empty before the first round)."""
-        return self.immediate_history[-1] if self.immediate_history else {}
 
     def update(self, selected: Sequence[int], K_selected: np.ndarray) -> np.ndarray:
         """Record a round's votes; returns normalized accumulated trust per selected client."""
@@ -128,10 +117,7 @@ class TrustLedger:
         if len(selected) != len(K_selected):
             raise ShapeError("selected ids and vote counts disagree on length")
         T_now = immediate_trust(np.asarray(K_selected))
-        for cid, k, t in zip(selected, K_selected, T_now):
-            self.votes[cid] = int(k)
-            self.immediate[cid] = float(t)
-        self.immediate_history.append({cid: float(t) for cid, t in zip(selected, T_now)})
+        self.immediate = {cid: float(t) for cid, t in zip(selected, T_now)}
         return accumulate_trust(self, T_now, selected)
 
 
@@ -151,10 +137,7 @@ def accumulate_trust(
         ledger.accumulated_raw[cid] = ledger.gamma * ledger.accumulated_raw[cid] + t
     raw = ledger.accumulated_raw[selected]
     total = raw.sum()
-    normalized = raw / total if total > 0 else np.full(len(selected), 1.0 / len(selected))
-    for cid, v in zip(selected, normalized):
-        ledger.accumulated[cid] = float(v)
-    return normalized
+    return raw / total if total > 0 else np.full(len(selected), 1.0 / len(selected))
 
 
 def median_discard(

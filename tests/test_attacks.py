@@ -8,11 +8,11 @@ from fedsim.attacks import (
     adaptive_attack,
     alternate_attack,
     basic_attack,
-    dba_attack,
     forge_full_claim,
     make_poison_pool,
     sybil_updates,
 )
+from fedsim.config import SimConfig
 from fedsim.data import TriggerPattern, class_means, gen_dataset
 from fedsim.errors import ConfigError
 from fedsim.inference import (
@@ -44,14 +44,15 @@ def honest_update(model, clean, seed=10):
 
 
 def test_spec_validation():
+    # attack knobs are checked where the config is built, before any data exists
     with pytest.raises(ConfigError):
-        AttackSpec(kind="zero-day", trigger=TRIG)
+        SimConfig(attack="zero-day")
     with pytest.raises(ConfigError):
-        AttackSpec(kind="basic", trigger=TRIG, poison_count=-1)
+        SimConfig(attack="basic", poison_count=-1)
     with pytest.raises(ConfigError):
-        AttackSpec(kind="alternate", trigger=TRIG, boost=0.5)
+        SimConfig(attack="alternate", boost=0.5)
     with pytest.raises(ConfigError):
-        AttackSpec(kind="dba", trigger=TRIG, dba_parts=0)
+        SimConfig(attack="dba", dba_parts=0)
 
 
 def test_poison_pool_relabels_everything(setup):
@@ -71,8 +72,7 @@ def test_basic_degenerates_to_honest(setup):
 
 def test_alternate_degenerates_to_honest(setup):
     clean, _, pool, model = setup
-    spec = AttackSpec(kind="alternate", trigger=TRIG, poison_count=0,
-                      boost=1.0, stealth_rho=0.0)
+    spec = AttackSpec(poison_count=0, boost=1.0, stealth_rho=0.0)
     honest = honest_update(model, clean)
     benign = honest_update(model, clean, seed=77).delta
     attack = alternate_attack(model, clean, pool, benign, spec,
@@ -81,10 +81,12 @@ def test_alternate_degenerates_to_honest(setup):
 
 
 def test_dba_part_one_equals_basic(setup):
+    # a distributed-trigger attacker is a basic attacker whose pool carries
+    # one slice of the trigger; with one part the slice is the whole trigger
     clean, base, pool, model = setup
-    spec = AttackSpec(kind="dba", trigger=TRIG, poison_count=20, dba_parts=1)
-    via_dba = dba_attack(model, clean, base, spec, part_index=0,
-                         epochs=2, lr=0.05, batch_size=16, seed=5)
+    part_pool = make_poison_pool(base, TRIG.part(1, 0))
+    via_dba = basic_attack(model, clean, part_pool, poison_count=20,
+                           epochs=2, lr=0.05, batch_size=16, seed=5)
     via_basic = basic_attack(model, clean, pool, poison_count=20,
                              epochs=2, lr=0.05, batch_size=16, seed=5)
     assert np.array_equal(via_dba.delta, via_basic.delta)
@@ -92,19 +94,16 @@ def test_dba_part_one_equals_basic(setup):
 
 def test_dba_parts_use_sub_patterns(setup):
     clean, base, _, model = setup
-    spec = AttackSpec(kind="dba", trigger=TRIG, poison_count=10, dba_parts=2)
-    a = dba_attack(model, clean, base, spec, part_index=0,
-                   epochs=1, lr=0.05, batch_size=64, seed=5)
-    b = dba_attack(model, clean, base, spec, part_index=1,
-                   epochs=1, lr=0.05, batch_size=64, seed=5)
+    a, b = (basic_attack(model, clean, make_poison_pool(base, TRIG.part(2, k)), poison_count=10,
+                         epochs=1, lr=0.05, batch_size=64, seed=5)
+            for k in range(2))
     assert np.any(a.delta != b.delta)
 
 
 def test_stealth_pull_dominates_at_huge_rho(setup):
     clean, _, pool, model = setup
     benign = honest_update(model, clean, seed=77).delta
-    spec = AttackSpec(kind="alternate", trigger=TRIG, poison_count=30,
-                      boost=1.0, stealth_rho=1e4)
+    spec = AttackSpec(poison_count=30, boost=1.0, stealth_rho=1e4)
     attack = alternate_attack(model, clean, pool, benign, spec,
                               epochs=4, lr=0.05, batch_size=16, seed=10)
     assert cosine_similarity(attack.delta, benign) > 0.99
@@ -114,8 +113,8 @@ def test_boost_scales_update_exactly(setup):
     clean, _, pool, model = setup
     benign = honest_update(model, clean, seed=77).delta
     kwargs = dict(epochs=2, lr=0.05, batch_size=16, seed=11)
-    base_spec = AttackSpec(kind="alternate", trigger=TRIG, poison_count=20, boost=1.0)
-    boosted_spec = AttackSpec(kind="alternate", trigger=TRIG, poison_count=20, boost=5.0)
+    base_spec = AttackSpec(poison_count=20, boost=1.0)
+    boosted_spec = AttackSpec(poison_count=20, boost=5.0)
     d1 = alternate_attack(model, clean, pool, benign, base_spec, **kwargs).delta
     d5 = alternate_attack(model, clean, pool, benign, boosted_spec, **kwargs).delta
     assert np.array_equal(d5, 5.0 * d1)
@@ -126,10 +125,10 @@ def test_boost_invisible_after_normalized_aggregation(setup):
     benign = honest_update(model, clean, seed=77).delta
     kwargs = dict(epochs=2, lr=0.05, batch_size=16, seed=11)
     d1 = alternate_attack(model, clean, pool, benign,
-                          AttackSpec(kind="alternate", trigger=TRIG, poison_count=20, boost=1.0),
+                          AttackSpec(poison_count=20, boost=1.0),
                           **kwargs)
     d5 = alternate_attack(model, clean, pool, benign,
-                          AttackSpec(kind="alternate", trigger=TRIG, poison_count=20, boost=5.0),
+                          AttackSpec(poison_count=20, boost=5.0),
                           **kwargs)
     out1 = aggregate(model, [d1], [0.3], lr_server=0.1)
     out5 = aggregate(model, [d5], [0.3], lr_server=0.1)
@@ -171,8 +170,7 @@ def test_forge_is_noop_for_relative_threshold_columns(setup):
 def test_adaptive_touches_only_last_layer_block(setup):
     clean, _, pool, model = setup
     benign = honest_update(model, clean, seed=77).delta
-    spec = AttackSpec(kind="adaptive", trigger=TRIG, poison_count=0,
-                      boost=1.0, stealth_rho=0.0)
+    spec = AttackSpec(poison_count=0, boost=1.0, stealth_rho=0.0)
     cfg = InferenceConfig(threshold_mode="mean", client_lr=0.05)
     honest = honest_update(model, clean)
     attack = adaptive_attack(model, clean, pool, benign, spec, cfg,
@@ -186,8 +184,7 @@ def test_adaptive_touches_only_last_layer_block(setup):
 def test_attack_updates_finite(setup):
     clean, _, pool, model = setup
     benign = honest_update(model, clean, seed=77).delta
-    spec = AttackSpec(kind="alternate", trigger=TRIG, poison_count=30, boost=2.0,
-                      stealth_rho=0.1)
+    spec = AttackSpec(poison_count=30, boost=2.0, stealth_rho=0.1)
     upd = alternate_attack(model, clean, pool, benign, spec,
                            epochs=4, lr=0.05, batch_size=16, seed=1)
     assert np.all(np.isfinite(upd.delta))
@@ -198,8 +195,7 @@ def test_weighted_clean_gradient_path(setup):
     # scales the plain gradient exactly
     clean, _, pool, model = setup
     benign = honest_update(model, clean, seed=77).delta
-    lam_spec = AttackSpec(kind="alternate", trigger=TRIG, poison_count=0,
-                          boost=1.0, stealth_rho=0.0, lambda_clean=2.0)
+    lam_spec = AttackSpec(poison_count=0, boost=1.0, stealth_rho=0.0, lambda_clean=2.0)
     d_lam = alternate_attack(model, clean, pool, benign, lam_spec,
                              epochs=1, lr=0.05, batch_size=clean.size, seed=10)
     d_hon = local_train(model, Batch(clean.samples, clean.labels),

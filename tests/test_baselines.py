@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from fedsim.baselines import (
-    AggregatorSpec,
     coordinate_median,
     fedavg,
     fltrust,
     krum,
     trimmed_mean,
 )
+from fedsim.config import SimConfig
 from fedsim.errors import ConfigError
 
 
@@ -19,12 +19,14 @@ def rand_updates(rng, n, d=12):
 
 
 def test_spec_validation():
+    # the aggregator and its budget are checked where the config is built
     with pytest.raises(ConfigError):
-        AggregatorSpec(kind="average")
+        SimConfig(aggregator="average")
     with pytest.raises(ConfigError):
-        AggregatorSpec(kind="krum", f=-1)
-    assert AggregatorSpec(kind="fltrust").aux_required
-    assert not AggregatorSpec(kind="median").aux_required
+        SimConfig(aggregator="krum", agg_f=-1)
+    with pytest.raises(ConfigError):
+        SimConfig(aggregator="fltrust", aux_classes=0)  # no server data
+    SimConfig(aggregator="median", aux_classes=0)
 
 
 def test_fedavg_identity_and_cancellation():

@@ -85,13 +85,6 @@ def test_thresholds_match_independent_formula_on_desk_partition():
     assert th.per_cluster == max(1, n_th)
 
 
-def test_thresholds_min_rule():
-    A = np.ones((4, 6), dtype=np.uint8)
-    A[2, :4] = 0  # class 2 has only 2 claimants
-    th = compute_thresholds(A, rule="min")
-    assert th.per_cluster == 2
-
-
 def test_thresholds_exclude_empty_clients():
     A = np.ones((4, 5), dtype=np.uint8)
     A[:, 2] = 0
@@ -105,8 +98,6 @@ def test_thresholds_exclude_empty_clients():
 def test_thresholds_validation():
     with pytest.raises(ConfigError):
         ClusterThresholds(0, 1)
-    with pytest.raises(ConfigError):
-        compute_thresholds(np.ones((2, 2), dtype=np.uint8), rule="magic")
 
 
 def test_greedy_feasible_start_untouched():

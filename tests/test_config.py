@@ -78,3 +78,30 @@ def test_malformed_file_line(tmp_path):
     path.write_text("rounds 5\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(aggregator="average"),
+    dict(attack="zero-day"),
+    dict(agg_f=-1),
+    dict(aggregator="krum", agg_f=4),   # 10 per round < 2f+3 = 11
+    dict(aggregator="trim", agg_f=5),   # 10 per round <= 2f = 10
+    dict(aggregator="fltrust", aux_classes=0),
+    dict(aux_classes=0),                 # representation voting needs aux data
+    dict(indicator_obs_cap=0),
+    dict(poison_count=-1),
+    dict(poison_count=501, pool_size=500),
+    dict(boost=0.5),
+    dict(dba_parts=0),
+    dict(trigger_indices=(40,), trigger_values=(1.0,)),  # input_dim is 32
+])
+def test_cross_field_validation(kw):
+    with pytest.raises(ConfigError):
+        SimConfig(**kw)
+
+
+def test_budget_edges_accepted():
+    SimConfig(aggregator="krum", agg_f=3)    # 10 per round = 2f+3 + 1
+    SimConfig(aggregator="trim", agg_f=4)    # 10 per round > 2f = 8
+    SimConfig(poison_count=500, pool_size=500)
+    SimConfig(aux_classes=0, voting_metrics=("gradient",))

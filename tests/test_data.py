@@ -1,4 +1,4 @@
-"""Data generation, partitioning, sufficiency matrix, triggers, serialization."""
+"""Data generation, partitioning, sufficiency matrix, triggers."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,7 @@ from fedsim.data import (
     concat_datasets,
     gen_dataset,
     ground_truth_abstract,
-    inject_trigger,
-    load_dataset,
     partition_noniid,
-    save_dataset,
 )
 from fedsim.errors import ConfigError, ShapeError
 
@@ -149,25 +146,6 @@ def test_ground_truth_matches_counting_oracle():
             assert A[i, j] == (int(np.sum(part.labels == i)) > 30)
 
 
-def test_inject_trigger_zero_count_copies():
-    ds = gen_dataset(4, 8, 5, seed=1)
-    out = inject_trigger(ds, TriggerPattern((0, 1), (2.0, -2.0), 0), count=0, seed=0)
-    assert out.size == ds.size
-    assert np.array_equal(out.samples, ds.samples)
-    out.samples[0, 0] = 99.0
-    assert ds.samples[0, 0] != 99.0  # returned dataset is a copy
-
-
-def test_inject_trigger_single_sample():
-    ds = LabeledDataset(np.arange(8, dtype=float).reshape(1, 8), np.array([2]), 4)
-    trig = TriggerPattern((1, 4), (9.0, -9.0), 3)
-    out = inject_trigger(ds, trig, count=1, seed=0)
-    assert out.size == 2
-    diff = np.flatnonzero(out.samples[1] != out.samples[0])
-    assert set(diff) == {1, 4}
-    assert out.labels[1] == 3
-
-
 def test_trigger_idempotent():
     rng = np.random.default_rng(0)
     trig = TriggerPattern((0, 3), (1.5, -1.5), 0)
@@ -181,10 +159,6 @@ def test_trigger_validation():
         TriggerPattern((0, 0), (1.0, 2.0), 0)
     with pytest.raises(ConfigError):
         TriggerPattern((0,), (1.0, 2.0), 0)
-    with pytest.raises(ConfigError):
-        inject_trigger(gen_dataset(4, 8, 2, seed=0), TriggerPattern((0,), (1.0,), 0), count=-1, seed=0)
-    with pytest.raises(ConfigError):
-        inject_trigger(gen_dataset(4, 8, 2, seed=0), TriggerPattern((0,), (1.0,), 0), count=100, seed=0)
 
 
 def test_trigger_parts_contiguous():
@@ -224,16 +198,6 @@ def test_triggered_samples_on_clean_model_rarely_hit_target():
     pred = (triggered @ W.T + b).argmax(axis=1)
     floor = float(np.mean(pred == trig.target_label))
     assert floor < 0.05
-
-
-def test_dataset_save_load_roundtrip(tmp_path):
-    ds = gen_dataset(5, 12, 9, seed=8)
-    path = tmp_path / "snap.txt"
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    assert back.num_classes == 5
-    assert np.array_equal(back.samples, ds.samples)
-    assert np.array_equal(back.labels, ds.labels)
 
 
 def test_sufficiency_matrix_shape_checks():

@@ -8,7 +8,7 @@ import pytest
 from fedsim.cli import main
 from fedsim.config import SimConfig
 from fedsim.data import TriggerPattern, class_means, gen_dataset
-from fedsim.errors import ConfigError
+from fedsim.errors import ConfigError, ShapeError, TrainingError
 from fedsim.harness import (
     RoundRecord,
     evaluate,
@@ -123,29 +123,47 @@ def test_all_aggregators_and_attacks_execute():
         assert len(res.records) == 2
 
 
-def test_sybil_round_updates_identical():
-    # both malicious clients selected in some round must submit equal deltas;
-    # verify via the recorded per-client vote symmetry of an instrumented run
-    from fedsim import harness as fh
-    captured = {}
-    orig = fh._client_updates
-    def spy(*args, **kw):
-        updates = orig(*args, **kw)
-        t = updates[0].round_index
-        captured[t] = {u.client_id: u.delta for u in updates}
-        return updates
-    fh._client_updates = spy
-    try:
-        run_experiment(tiny_cfg(rounds=4, attack="sybil"))
-    finally:
-        fh._client_updates = orig
+def test_sybil_round_updates_identical(monkeypatch):
+    # both malicious clients selected in some round must hand the aggregator
+    # equal deltas; FedAvg receives them in selection order
+    from fedsim import baselines
+    received = []
+    orig = baselines.fedavg
+    def spy(deltas):
+        received.append(deltas)
+        return orig(deltas)
+    monkeypatch.setattr(baselines, "fedavg", spy)
+    res = run_experiment(tiny_cfg(rounds=4, attack="sybil", aggregator="fedavg"))
+    assert len(received) == 4
     seen_pair = False
-    for per_round in captured.values():
-        mal = [cid for cid in per_round if cid < 2]
+    for rec, deltas in zip(res.records, received):
+        mal = [deltas[i] for i, cid in enumerate(rec.selected) if cid < 2]
         if len(mal) >= 2:
             seen_pair = True
-            assert np.array_equal(per_round[mal[0]], per_round[mal[1]])
+            assert np.array_equal(mal[0], mal[1])
     assert seen_pair
+
+
+def test_training_failure_names_the_failing_client(monkeypatch):
+    # an honest client failing in a round that also trains an attacker with
+    # a lower id is named itself, not the attacker
+    from fedsim import harness
+    cfg = tiny_cfg(attack="basic")
+    for t in range(cfg.rounds):
+        selected = select_clients(cfg.n_clients, cfg.selection_ratio, t, cfg.seed)
+        if min(selected) < cfg.num_malicious < max(selected):
+            break
+    else:
+        pytest.fail("no round selects both an attacker and an honest client")
+    victim = max(selected)
+    orig = harness.local_train
+    def failing(*args, **kw):
+        if kw.get("client_id") == victim and kw.get("round_index") == t:
+            raise TrainingError("boom")
+        return orig(*args, **kw)
+    monkeypatch.setattr(harness, "local_train", failing)
+    with pytest.raises(TrainingError, match=rf"^round {t}, client {victim}: boom$"):
+        run_experiment(cfg)
 
 
 def test_csv_write_and_header(tmp_path):
@@ -203,6 +221,40 @@ def test_cli_sweep(tmp_path):
 
 def test_cli_bad_override_exit_code(tmp_path):
     assert main(["run", "--override", "bogus_key=1", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_bad_config_fails_before_training(tmp_path, monkeypatch):
+    from fedsim import harness
+    def no_training(*args, **kw):
+        raise AssertionError("trained a client")
+    monkeypatch.setattr(harness, "local_train", no_training)
+    argv = ["run", "--override", "aggregator=krum", "--override", "agg_f=5", "--out", str(tmp_path)]
+    assert main(argv) == 2
+
+
+def test_poison_count_beyond_attacker_data_fails_before_training(monkeypatch):
+    from fedsim import harness
+    def no_training(*args, **kw):
+        raise AssertionError("trained a client")
+    monkeypatch.setattr(harness, "local_train", no_training)
+    # one attacker holds 100 records, fewer than the 150 it must poison with
+    with pytest.raises(ConfigError, match="exceeds the attackers' pool of 100 records"):
+        run_experiment(tiny_cfg(attack="basic", num_malicious=1, pool_size=500, poison_count=150))
+
+
+def test_cli_run_failure_is_one_line(tmp_path, capsys, monkeypatch):
+    overrides = [f"--override={k}={v}" for k, v in TINY.items()]
+    assert main(["run", *overrides, "--override", "lr_client=1e200", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("run failed: round 0, client ")
+
+    from fedsim import cli
+    def malformed(*args, **kw):
+        raise ShapeError("bad shape")
+    monkeypatch.setattr(cli, "run_and_write", malformed)
+    assert main(["run", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "run failed: bad shape\n"
 
 
 def test_dba_global_trigger_beats_parts():

@@ -10,7 +10,6 @@ from fedsim.inference import (
     class_indicator,
     distribution_accuracy,
     infer_column,
-    infer_matrix,
     recover_last_layer_gradient,
 )
 from fedsim.model import (
@@ -150,7 +149,10 @@ def test_infer_matrix_stacks_columns():
     for c in (0, 3):
         batch = Batch(rng.standard_normal((5, 16)), np.full(5, c))
         deltas.append(local_train(model, batch, epochs=1, lr=0.05, batch_size=8, seed=0).delta)
-    A_hat = infer_matrix(deltas, model.shapes, cfg)
+    A_hat = np.stack([
+        infer_column(class_indicator(recover_last_layer_gradient(d, model.shapes, cfg.client_lr)), cfg)
+        for d in deltas
+    ], axis=1)
     assert A_hat.shape == (6, 2)
     assert A_hat[0, 0] == 1 and A_hat[3, 1] == 1
 

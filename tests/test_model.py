@@ -17,7 +17,6 @@ from fedsim.model import (
     param_dim,
     representation,
     softmax,
-    unflatten,
 )
 
 
@@ -67,7 +66,7 @@ def test_flatten_unflatten_roundtrip():
     rng = np.random.default_rng(0)
     shapes = [(5, 3), (2, 5)]
     v = rng.standard_normal(param_dim(shapes))
-    assert np.array_equal(flatten(unflatten(v, shapes)), v)
+    assert np.array_equal(flatten(ModelParams(v, shapes).layers()), v)
 
 
 def test_zero_model_uniform_probabilities():
@@ -114,7 +113,7 @@ def test_perfect_prediction_zero_loss_and_logit_grad():
     batch = Batch(np.ones((1, 3)), np.array([1]))
     loss, grad = loss_and_grad(model, batch)
     assert loss == 0.0
-    gb = unflatten(grad, shapes)[0][1]  # bias grad equals the logits grad
+    gb = ModelParams(grad, shapes).layers()[0][1]  # bias grad equals the logits grad
     assert np.array_equal(gb, np.zeros(4))
 
 
@@ -125,7 +124,7 @@ def test_uniform_prediction_analytic_values():
     batch = Batch(np.random.default_rng(0).standard_normal((1, 32)), np.array([c]))
     loss, grad = loss_and_grad(model, batch)
     assert abs(loss - np.log(10.0)) < 1e-12
-    gb = unflatten(grad, shapes)[0][1]
+    gb = ModelParams(grad, shapes).layers()[0][1]
     expected = np.full(10, 0.1)
     expected[c] -= 1.0
     assert np.allclose(gb, expected, atol=1e-12)
@@ -154,7 +153,7 @@ def test_single_sample_logit_grad_sign():
     for c in range(6):
         batch = Batch(rng.standard_normal((1, 16)), np.array([c]))
         _, grad = loss_and_grad(model, batch)
-        gb = unflatten(grad, model.shapes)[-1][1]  # p - onehot(c)
+        gb = ModelParams(grad, model.shapes).layers()[-1][1]  # p - onehot(c)
         assert (gb < 0).sum() == 1
         assert gb[c] < 0
 
@@ -238,3 +237,7 @@ def test_last_layer_weight_block_view():
     model = init_model([8, 6, 4], seed=5)
     block = last_layer_weight_block(model.flat, model.shapes)
     assert np.array_equal(block, model.layers()[-1][0])
+    block += 1.0  # writes land in the flat vector, as forge_full_claim relies on
+    assert np.array_equal(model.layers()[-1][0], block)
+    with pytest.raises(ShapeError):
+        last_layer_weight_block(model.flat[:-1], model.shapes)

@@ -231,7 +231,7 @@ def test_two_round_discard_scenario():
     # excluded from round t's aggregation
     ledger = TrustLedger(num_clients=5, gamma=0.1)
     ledger.update([0, 1, 2], np.array([4, 3, 0]))          # round t-1: client 2 bottom
-    prev = ledger.previous_immediate()
+    prev = ledger.immediate
     discard = median_discard(prev, [1, 2, 3])              # round t selection
     assert discard == {2}
     theta = ModelParams(np.zeros(param_dim([(2, 3)])), [(2, 3)])
