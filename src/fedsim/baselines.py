@@ -27,12 +27,20 @@ def fedavg(updates) -> np.ndarray:
 
 
 def krum(updates, f: int) -> np.ndarray:
-    """The single update with the smallest summed squared distance to its n-f-2 nearest peers."""
+    """The single update with the smallest summed squared distance to its n-f-2 nearest peers.
+
+    Distances are built one row at a time (n*d temporary memory, not n*n*d),
+    bit-identical to the full broadcast.
+    """
     mat = _stack(updates)
     n = mat.shape[0]
     if n < 2 * f + 3:
         raise ConfigError(f"krum needs n >= 2f+3 (got n={n}, f={f})")
-    sq = ((mat[:, None, :] - mat[None, :, :]) ** 2).sum(axis=2)
+    sq = np.zeros((n, n))
+    for i in range(n - 1):
+        row = ((mat[i + 1:] - mat[i]) ** 2).sum(axis=1)
+        sq[i, i + 1:] = row
+        sq[i + 1:, i] = row
     scores = np.empty(n)
     for i in range(n):
         d = np.delete(sq[i], i)

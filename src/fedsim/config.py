@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Tuple
 
+from .data import QUIET_DIMS
 from .errors import ConfigError
 
 AGGREGATORS = ("fedavg", "krum", "median", "trim", "fltrust", "clustervote")
@@ -109,6 +110,12 @@ class SimConfig:
             raise ConfigError("rounds must be >= 1")
         if not (0.0 <= self.noniid_p <= 1.0):
             raise ConfigError("noniid_p must lie in [0, 1]")
+        if self.shards % self.n_clients != 0:
+            raise ConfigError(f"shards ({self.shards}) must be divisible by "
+                              f"n_clients ({self.n_clients})")
+        if self.num_classes > self.input_dim - QUIET_DIMS:
+            raise ConfigError(f"num_classes ({self.num_classes}) must be at most "
+                              f"input_dim - {QUIET_DIMS} = {self.input_dim - QUIET_DIMS}")
         if self.lr_client <= 0 or self.lr_server <= 0:
             raise ConfigError("learning rates must be positive")
         if not (0.0 < self.gamma < 1.0):

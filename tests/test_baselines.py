@@ -1,8 +1,13 @@
 """Reference aggregators against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedsim import baselines
 from fedsim.baselines import (
     coordinate_median,
     fedavg,
@@ -12,6 +17,7 @@ from fedsim.baselines import (
 )
 from fedsim.config import SimConfig
 from fedsim.errors import ConfigError
+from fedsim.harness import run_experiment
 
 
 def rand_updates(rng, n, d=12):
@@ -68,6 +74,67 @@ def test_krum_matches_exhaustive_oracle():
         scores.append(sum(dists[: n - f - 2]))
     expected = ups[int(np.argmin(scores))]
     assert np.array_equal(krum(ups, f), expected)
+
+
+def broadcast_krum(updates, f):
+    """Krum with the full n x n x d broadcast for its distances."""
+    mat = np.stack(updates)
+    n = mat.shape[0]
+    sq = ((mat[:, None, :] - mat[None, :, :]) ** 2).sum(axis=2)
+    scores = np.empty(n)
+    for i in range(n):
+        d = np.delete(sq[i], i)
+        d.sort()
+        scores[i] = d[: n - f - 2].sum()
+    return mat[int(np.argmin(scores))].copy()
+
+
+@pytest.mark.parametrize("attack", ["basic", "sybil"])  # sybil sends exact duplicates
+def test_krum_bit_identical_to_broadcast_on_run_traffic(attack, monkeypatch):
+    calls = []
+    orig = baselines.krum
+
+    def spy(updates, f):
+        out = orig(updates, f)
+        calls.append((list(updates), f, out))
+        return out
+
+    monkeypatch.setattr(baselines, "krum", spy)
+    run_experiment(SimConfig(n_clients=500, shards=500, num_malicious=50, rounds=2,
+                             aggregator="krum", attack=attack))
+    assert len(calls) == 2
+    for updates, f, out in calls:
+        assert len(updates) == 100
+        assert out.tobytes() == broadcast_krum(updates, f).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.integers(0, 3), extra=st.integers(0, 6), d=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1), dups=st.integers(0, 4),
+       spread=st.sampled_from([1e-3, 1.0]), offset=st.sampled_from([0.0, 1e6]))
+def test_krum_bit_identical_to_broadcast_property(f, extra, d, seed, dups, spread, offset):
+    rng = np.random.default_rng(seed)
+    n = 2 * f + 3 + extra
+    mat = spread * rng.standard_normal((n, d)) * rng.choice([1.0, 1e3], size=(n, 1))
+    # a shared far-off center makes distances tiny next to the norms: near-ties
+    # that any reformulated distance (the Gram identity) rounds differently
+    mat += offset * rng.standard_normal(d)
+    for _ in range(dups):  # exact copies tie on distance, as sybils do
+        mat[rng.integers(n)] = mat[rng.integers(n)]
+    ups = list(mat)
+    assert krum(ups, f).tobytes() == broadcast_krum(ups, f).tobytes()
+
+
+def test_krum_memory_is_linear_in_n():
+    ups = list(np.random.default_rng(3).standard_normal((100, 2762)))
+    tracemalloc.start()
+    try:
+        krum(ups, f=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n x n x d broadcast alone would be 221 MB
+    assert peak < 16 * 2**20
 
 
 def test_krum_population_check():

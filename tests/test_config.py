@@ -100,8 +100,20 @@ def test_cross_field_validation(kw):
         SimConfig(**kw)
 
 
+@pytest.mark.parametrize("kw, field", [
+    (dict(shards=251), "shards"),                    # 50 clients
+    (dict(num_classes=29), "num_classes"),           # 32 - 4 quiet dims = 28 live
+])
+def test_data_shape_validation(kw, field):
+    # rejected when the config is built, not inside data generation
+    with pytest.raises(ConfigError, match=field):
+        SimConfig(**kw)
+
+
 def test_budget_edges_accepted():
     SimConfig(aggregator="krum", agg_f=3)    # 10 per round = 2f+3 + 1
     SimConfig(aggregator="trim", agg_f=4)    # 10 per round > 2f = 8
     SimConfig(poison_count=500, pool_size=500)
     SimConfig(aux_classes=0, voting_metrics=("gradient",))
+    SimConfig(shards=50)
+    SimConfig(num_classes=28)

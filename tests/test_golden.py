@@ -1,12 +1,15 @@
-"""Pinned sha256 digests of the rounds CSV: any change in behaviour shows here.
+"""Pinned sha256 digests of the rounds CSV and of the final parameters.
 
 Every aggregator x attack pair runs at the desk-scale defaults for four
 rounds, plus clustervote against the adaptive attack under each threshold
-mode, gradient-only voting and the paper's sign rule. The digests were
-taken with one and with two BLAS threads and did not differ. A digest may
-change only with a reason recorded in CHANGES.md.
+mode, gradient-only voting and the paper's sign rule. The rounds CSV holds
+only accuracy and ASR for a baseline aggregator, so two attacks that move no
+argmax give the same CSV; the final-parameter digest tells them apart. The
+digests were taken with one and with two BLAS threads and did not differ. A
+digest may change only with a reason recorded in CHANGES.md.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -71,13 +74,70 @@ DIGESTS = {
     "clustervote-adaptive-strict_paper_sign=true": "4a9e5c698705029d405bc7ed06bf762efec12c86ba728beb50d8b3fda9fcf5a1",
 }
 
+# sha256 of result.final_params.flat.tobytes(). The five attacked krum cases
+# share one digest: Krum picks the same honest update in every round.
+PARAMS_DIGESTS = {
+    "fedavg-none": "ef74104403cf9fb0e48a1d1afd00300c009bcc28c6923725e267658d0607f596",
+    "fedavg-basic": "102ef47fff992e4693bbe2d6d729d6af33dd9efa6bb5c7d7f607e40b483a174b",
+    "fedavg-alternate": "8d3e68ef040b71a366b502a01060383d1fe47ee51ea8583c8baece11ead1a86e",
+    "fedavg-dba": "a256cbdf9f2c364599136a53a491bb468b64970f39bc99ac4b7248de71e2b03b",
+    "fedavg-sybil": "552aee791dd6669fe8c3fca7cff5119210509fab34a34ed6477864b42cc81e1c",
+    "fedavg-adaptive": "4eeee75bec20728112c214ba511fc5dc320d7594718fc1d27571f688f8c3424d",
+    "krum-none": "ba8bf136865f5a9c24aae8009fe7f345e89fb728eab63520f0fc59b3a9d31954",
+    "krum-basic": "23b785a60ff5214ae1ecb8337b237a259a5d6afb685fc8ed903ccee129fd4a74",
+    "krum-alternate": "23b785a60ff5214ae1ecb8337b237a259a5d6afb685fc8ed903ccee129fd4a74",
+    "krum-dba": "23b785a60ff5214ae1ecb8337b237a259a5d6afb685fc8ed903ccee129fd4a74",
+    "krum-sybil": "23b785a60ff5214ae1ecb8337b237a259a5d6afb685fc8ed903ccee129fd4a74",
+    "krum-adaptive": "23b785a60ff5214ae1ecb8337b237a259a5d6afb685fc8ed903ccee129fd4a74",
+    "median-none": "eb97d4c9d6a2f07a1fd631b7a9749db4383252e6df021fa3783500c9df6d7428",
+    "median-basic": "d78190f050518635acf08975551ee4a139e5a55e92fe6afbe4c9996f4e6ae0a0",
+    "median-alternate": "a47ff1b9b23ff20889e49865e0e22a1d752089489b15ab6f9fa1632ce8294fab",
+    "median-dba": "8881ae651cb565416821807bd41d79ec7174e7c7cc26f3e9a071b0a0cb51f95b",
+    "median-sybil": "fc7d0bafdf3fa3174fa9ea0a085b8ca2aaa50e0d90868b379f053743698b20d2",
+    "median-adaptive": "31db6f61d8ac0c05bf2fa1cc101a4ddf329dfa9e4c6aa260af78f5da0e504f91",
+    "trim-none": "d0a22446b9e14d7c984f741eefe4cb6c4215d4719c7f999be0f249da9dfb64ee",
+    "trim-basic": "9dfffc347b8bd036793b23073c06e39df00a5f8069569e35e596b9b641e33d58",
+    "trim-alternate": "c3debba63c32e540d4df39b0fce9ba8911ae09fd210503136c130be754a6596f",
+    "trim-dba": "bda66611f88c6f44487987ece27a8799261e0d3629a2d6facc2f85bd62bb2e2d",
+    "trim-sybil": "5e6b3565fb4ca53276c42bfdfce6628861ae7e9462fa243e3b0ffd7932d31091",
+    "trim-adaptive": "f2c37a7f4a8c80411fdb4eec990fbe1e59146f6c7634952e7afb194cfc92793a",
+    "fltrust-none": "235fb44519f586459b63bf3ce0099a322311ef72758fcce58e0ab64b8103feb3",
+    "fltrust-basic": "2d1a5b31a6d720163e9b973e308499927fa898026bbbaf602c90eaa093d59e5c",
+    "fltrust-alternate": "7fb6f9bec9bca5fe89b7f4e9cce448acaf18d330cd9d1567484d9b2d64bf47fa",
+    "fltrust-dba": "349e2cb50c04dfc8abd9bc911d2a19f4a800e4b068786c87b467d09a031279a8",
+    "fltrust-sybil": "db2789552ec552a2ed6794975eeaaa20fc395137eca4e406067e3173e3ff81e7",
+    "fltrust-adaptive": "040df604041e72aef5f2889a0c08945ed36d67972992f6e59d0f8c47c616aae0",
+    "clustervote-none": "97720d4f2e147808033ce4f5ee075ca77be6ece8dc1b256a01b8844f2ef19417",
+    "clustervote-basic": "8f3ab05ac77ff5dfbe69098b80f37162b802d22cf18626d8c25cbb29b1245487",
+    "clustervote-alternate": "fdbcd4db5e64e5ee95babb2e86840efed5a09415251f49d6146b5c4f0a4547d3",
+    "clustervote-dba": "d37631713f28ce72b3b0e6bb71525f2f6f238c300552abd74294216cb4a287bd",
+    "clustervote-sybil": "d60faa14d48dd07ffb91b62fe41285327e422216be6429a03aca46f93aad7e64",
+    "clustervote-adaptive": "2a0704251ee0f4cb2f3af442f7b10b21232830bd0e9b537d2363bbbac6f4dd45",
+    "clustervote-adaptive-threshold_mode=absolute": "d48f7899dacd9a30884ba8078ec548f0f2085363ff62e777da0b68d10810d990",
+    "clustervote-adaptive-threshold_mode=mean_plus_std": "c6b6e6b923fa29b25235c3f2b93e6d937664d7656c65646ddd5c2932dc494753",
+    "clustervote-adaptive-voting_metrics=gradient": "0014996cb8a2463565a1b8b640b76138ee3e4fd2596581cf2c2f2b8e57bf944c",
+    "clustervote-adaptive-strict_paper_sign=true": "59a9269c803ccfbb896a8075f88cae4adba655d082c1e120ab0e205af35d01b6",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _run(name):
+    return run_experiment(SimConfig(rounds=4, **CASES[name]))
+
 
 def test_every_case_is_pinned():
     assert list(DIGESTS) == list(CASES)
+    assert list(PARAMS_DIGESTS) == list(CASES)
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_rounds_csv_digest(name, tmp_path):
     path = tmp_path / "rounds.csv"
-    write_csv(run_experiment(SimConfig(rounds=4, **CASES[name])).records, path)
+    write_csv(_run(name).records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_final_params_digest(name):
+    flat = _run(name).final_params.flat
+    assert hashlib.sha256(flat.tobytes()).hexdigest() == PARAMS_DIGESTS[name]

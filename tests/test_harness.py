@@ -1,6 +1,7 @@
 """Round loop, selection, evaluation, records, and CLI surface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -244,10 +245,15 @@ def test_poison_count_beyond_attacker_data_fails_before_training(monkeypatch):
 
 def test_cli_run_failure_is_one_line(tmp_path, capsys, monkeypatch):
     overrides = [f"--override={k}={v}" for k, v in TINY.items()]
-    assert main(["run", *overrides, "--override", "lr_client=1e200", "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith("run failed: round 0, client ")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", *overrides, "--override", "lr_client=1e200",
+                     "--out", str(tmp_path)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("run failed: round 0, client ")
+    assert np.geterr()["over"] == "warn"  # the library keeps numpy's defaults
 
     from fedsim import cli
     def malformed(*args, **kw):
