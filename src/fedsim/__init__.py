@@ -3,16 +3,14 @@
 from .config import SimConfig, apply_overrides, load_config
 from .data import LabeledDataset, SufficiencyMatrix, TriggerPattern
 from .harness import ExperimentResult, RoundRecord, evaluate, run_experiment, select_clients
-from .model import Batch, ModelParams, ModelUpdate, init_model, local_train
+from .model import ModelParams, init_model, local_train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch",
     "ExperimentResult",
     "LabeledDataset",
     "ModelParams",
-    "ModelUpdate",
     "RoundRecord",
     "SimConfig",
     "SufficiencyMatrix",

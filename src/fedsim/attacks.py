@@ -10,25 +10,15 @@ class-sufficiency inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
+from .config import SimConfig
 from .data import LabeledDataset, TriggerPattern, concat_datasets
 from .errors import ConfigError, TrainingError
-from .inference import InferenceConfig, class_indicator, recover_last_layer_gradient
-from .model import Batch, ModelParams, ModelUpdate, Shapes, last_layer_weight_block, local_train, loss_and_grad
-
-
-@dataclass
-class AttackSpec:
-    """Knobs of the alternate-family attacks (SimConfig validates them)."""
-
-    poison_count: int = 125
-    boost: float = 2.0
-    stealth_rho: float = 0.1
-    lambda_clean: float = 1.0
+from .inference import class_indicator, recover_last_layer_gradient
+from .model import ModelParams, Shapes, finite_update, last_layer_weight_block, local_train, loss_and_grad
 
 
 def make_poison_pool(base: LabeledDataset, trig: TriggerPattern) -> LabeledDataset:
@@ -52,22 +42,12 @@ def basic_attack(
     global_params: ModelParams,
     clean: LabeledDataset,
     poison: LabeledDataset,
-    poison_count: int,
-    epochs: int,
-    lr: float,
-    batch_size: int,
+    cfg: SimConfig,
     seed: int,
-    client_id: int = -1,
-    round_index: int = -1,
-) -> ModelUpdate:
+) -> np.ndarray:
     """Plain data poisoning: honest SGD over clean + triggered records."""
-    mixed = _training_set(clean, poison, poison_count)
-    return local_train(
-        global_params,
-        Batch(mixed.samples, mixed.labels),
-        epochs, lr, batch_size, seed,
-        client_id=client_id, round_index=round_index,
-    )
+    mixed = _training_set(clean, poison, cfg.poison_count)
+    return local_train(global_params, mixed, cfg.epochs, cfg.lr_client, cfg.batch_size, seed)
 
 
 def alternate_attack(
@@ -75,14 +55,9 @@ def alternate_attack(
     clean: LabeledDataset,
     poison: LabeledDataset,
     benign_delta: np.ndarray,
-    spec: AttackSpec,
-    epochs: int,
-    lr: float,
-    batch_size: int,
+    cfg: SimConfig,
     seed: int,
-    client_id: int = -1,
-    round_index: int = -1,
-) -> ModelUpdate:
+) -> np.ndarray:
     """Alternate poison epochs with stealth epochs, then boost the update.
 
     Even epochs run SGD on clean + poison (clean gradients scaled by
@@ -94,9 +69,10 @@ def alternate_attack(
     """
     if clean.size < 1:
         raise TrainingError("attacker has no clean data")
-    mixed = _training_set(clean, poison, spec.poison_count)
+    mixed = _training_set(clean, poison, cfg.poison_count)
+    lr, batch_size = cfg.lr_client, cfg.batch_size
     anchor_delta = np.asarray(benign_delta, dtype=np.float64)
-    pull = min(2.0 * lr * spec.stealth_rho, 1.0)
+    pull = min(2.0 * lr * cfg.stealth_rho, 1.0)
     rng = np.random.default_rng(seed)
     theta = global_params.copy()
     # delta accumulation mirrors local_train so neutral knobs reproduce an
@@ -104,10 +80,10 @@ def alternate_attack(
     delta = np.zeros(global_params.dim)
     n_clean = clean.size
 
-    for h in range(epochs):
+    for h in range(cfg.epochs):
         if h % 2 == 0:
             x, y = mixed.samples, mixed.labels
-            weighted = spec.lambda_clean != 1.0
+            weighted = cfg.lambda_clean != 1.0
         else:
             x, y = clean.samples, clean.labels
             weighted = False
@@ -116,17 +92,17 @@ def alternate_attack(
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             if weighted:
-                grad = _weighted_grad(theta, x, y, idx, n_clean, spec.lambda_clean)
+                grad = _weighted_grad(theta, x, y, idx, n_clean, cfg.lambda_clean)
             else:
-                _, grad = loss_and_grad(theta, Batch(x[idx], y[idx]))
+                _, grad = loss_and_grad(theta, x[idx], y[idx])
             delta -= lr * grad
             if h % 2 == 1 and pull > 0.0:
                 delta -= pull * (delta - anchor_delta)
             theta.flat = global_params.flat + delta
 
-    if spec.boost != 1.0:
-        delta = delta * spec.boost
-    return ModelUpdate(delta, client_id=client_id, round_index=round_index)
+    if cfg.boost != 1.0:
+        delta = delta * cfg.boost
+    return finite_update(delta)
 
 
 def _weighted_grad(
@@ -143,28 +119,23 @@ def _weighted_grad(
     total = lam * clean_idx.size + pois_idx.size
     grad = np.zeros(theta.dim)
     if clean_idx.size:
-        _, g = loss_and_grad(theta, Batch(x[clean_idx], y[clean_idx]))
+        _, g = loss_and_grad(theta, x[clean_idx], y[clean_idx])
         grad += lam * clean_idx.size * g
     if pois_idx.size:
-        _, g = loss_and_grad(theta, Batch(x[pois_idx], y[pois_idx]))
+        _, g = loss_and_grad(theta, x[pois_idx], y[pois_idx])
         grad += pois_idx.size * g
     return grad / total
 
 
-def sybil_updates(
-    leader_update: ModelUpdate, malicious_selected: Sequence[int], round_index: int
-) -> List[ModelUpdate]:
+def sybil_updates(leader: np.ndarray, colluders: Sequence[int]) -> List[np.ndarray]:
     """One update per selected colluder, all byte-identical to the leader's."""
-    if not malicious_selected:
+    if not colluders:
         raise ConfigError("sybil round needs at least one selected malicious client")
-    return [
-        ModelUpdate(leader_update.delta.copy(), client_id=cid, round_index=round_index)
-        for cid in malicious_selected
-    ]
+    return [leader.copy() for _ in colluders]
 
 
 def forge_full_claim(
-    delta: np.ndarray, shapes: Shapes, lr: float, inf_cfg: InferenceConfig, margin: float = 1.0
+    delta: np.ndarray, shapes: Shapes, cfg: SimConfig, margin: float = 1.0
 ) -> np.ndarray:
     """Rank-1 edit of the last-layer weight block inflating the class indicator.
 
@@ -174,10 +145,11 @@ def forge_full_claim(
     lift cannot beat the relative (mean-based) thresholds, which is exactly
     why clustering caps the forger's memberships like anyone else's.
     """
+    lr = cfg.lr_client
     delta = np.asarray(delta, dtype=np.float64).copy()
     u = class_indicator(recover_last_layer_gradient(delta, shapes, lr))
-    if inf_cfg.threshold_mode == "absolute":
-        target = inf_cfg.beta
+    if cfg.threshold_mode == "absolute":
+        target = cfg.beta
     else:
         target = float(u.max())
     shift = target + margin - float(u.min())
@@ -193,20 +165,9 @@ def adaptive_attack(
     clean: LabeledDataset,
     poison: LabeledDataset,
     benign_delta: np.ndarray,
-    spec: AttackSpec,
-    inf_cfg: InferenceConfig,
-    epochs: int,
-    lr: float,
-    batch_size: int,
+    cfg: SimConfig,
     seed: int,
-    client_id: int = -1,
-    round_index: int = -1,
-) -> ModelUpdate:
+) -> np.ndarray:
     """Alternate attack whose finished update also forges a full-class claim."""
-    upd = alternate_attack(
-        global_params, clean, poison, benign_delta, spec,
-        epochs, lr, batch_size, seed,
-        client_id=client_id, round_index=round_index,
-    )
-    forged = forge_full_claim(upd.delta, global_params.shapes, lr, inf_cfg)
-    return ModelUpdate(forged, client_id=client_id, round_index=round_index)
+    delta = alternate_attack(global_params, clean, poison, benign_delta, cfg, seed)
+    return finite_update(forge_full_claim(delta, global_params.shapes, cfg))

@@ -139,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # a diverging run is reported once, by ModelUpdate's finiteness
-        # check, not also by numpy's overflow warnings on the way there
+        # a diverging run is reported once, by the finiteness check on the
+        # update it produced, not also by numpy's overflow warnings on the way
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except ConfigError as exc:

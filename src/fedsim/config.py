@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Tuple
@@ -12,6 +13,7 @@ from .errors import ConfigError
 
 AGGREGATORS = ("fedavg", "krum", "median", "trim", "fltrust", "clustervote")
 ATTACKS = ("none", "basic", "alternate", "dba", "sybil", "adaptive")
+THRESHOLD_MODES = ("mean", "mean_plus_std", "absolute")
 
 
 def _parse_bool(text: str) -> bool:
@@ -106,8 +108,11 @@ class SimConfig:
             raise ConfigError("selection must cover at least two clients per round")
         if not (0 <= self.num_malicious <= self.n_clients):
             raise ConfigError("num_malicious must lie in [0, n_clients]")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
+        for name in ("rounds", "epochs", "batch_size", "indicator_obs_cap", "boost", "dba_parts"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ConfigError("every hidden_dims width must be >= 1")
         if not (0.0 <= self.noniid_p <= 1.0):
             raise ConfigError("noniid_p must lie in [0, 1]")
         if self.shards % self.n_clients != 0:
@@ -140,16 +145,18 @@ class SimConfig:
         if self.aux_classes < 1 and (self.aggregator == "fltrust" or (
                 self.aggregator == "clustervote" and "representation" in self.voting_metrics)):
             raise ConfigError("fltrust and representation voting need aux_classes >= 1")
-        if self.indicator_obs_cap < 1:
-            raise ConfigError("indicator_obs_cap must be >= 1")
+        if self.threshold_mode not in THRESHOLD_MODES:
+            raise ConfigError(f"unknown threshold_mode {self.threshold_mode!r}")
+        if not math.isfinite(self.beta):
+            raise ConfigError("beta must be finite")
         if not (0 <= self.poison_count <= self.pool_size):
             raise ConfigError("poison_count must lie in [0, pool_size]")
-        if self.boost < 1:
-            raise ConfigError("boost must be >= 1")
-        if self.dba_parts < 1:
-            raise ConfigError("dba_parts must be >= 1")
         if any(not 0 <= i < self.input_dim for i in self.trigger_indices):
             raise ConfigError("trigger_indices must lie in [0, input_dim)")
+        test_size = self.num_classes * self.test_per_class
+        if not 1 <= self.base_count <= test_size:
+            raise ConfigError(f"base_count must lie in [1, num_classes * test_per_class] "
+                              f"= [1, {test_size}]")
 
     @property
     def layer_dims(self) -> Tuple[int, ...]:

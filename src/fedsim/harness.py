@@ -28,7 +28,7 @@ from .data import (
     partition_noniid,
 )
 from .errors import ConfigError, ShapeError, TrainingError
-from .model import Batch, ModelParams, ModelUpdate, init_model, forward, local_train, representation
+from .model import ModelParams, init_model, forward, local_train, representation
 
 # stream tags for seed derivation
 _TRAIN, _TEST, _AUX, _PART, _INIT, _SELECT, _CLIENT, _BENIGN, _POOL, _SERVER = range(10)
@@ -180,14 +180,12 @@ def write_csv(records: Sequence[RoundRecord], path: Path | str) -> None:
 
 # One round of server-side aggregation: (theta, updates in selection order,
 # selected ids, round) -> (new theta, the round's record before evaluation).
-Aggregator = Callable[[ModelParams, List[ModelUpdate], List[int], int],
+Aggregator = Callable[[ModelParams, List[np.ndarray], List[int], int],
                       Tuple[ModelParams, RoundRecord]]
 
 
 def run_experiment(cfg: SimConfig) -> ExperimentResult:
     """Execute the configured federation end to end; fully deterministic."""
-    inf_cfg = inference.InferenceConfig(
-        threshold_mode=cfg.threshold_mode, beta=cfg.beta, client_lr=cfg.lr_client)
     m, r_in = cfg.num_classes, cfg.input_dim
     means = class_means(m, r_in, cfg.seed)
     train = gen_dataset(m, r_in, cfg.per_class, derive_seed(cfg.seed, _TRAIN), means)
@@ -199,11 +197,11 @@ def run_experiment(cfg: SimConfig) -> ExperimentResult:
                                   derive_seed(cfg.seed, _PART))
     ground_truth = ground_truth_abstract(partitions, cfg.tau)
     trigger = TriggerPattern(cfg.trigger_indices, cfg.trigger_values, cfg.trigger_target)
-    clients = _Clients(cfg, partitions, trigger, inf_cfg)
+    clients = _Clients(cfg, partitions, trigger)
 
     theta = init_model(cfg.layer_dims, derive_seed(cfg.seed, _INIT), zero_last=True)
     aggregate: Aggregator = (
-        ClusterVote(cfg, inf_cfg, ground_truth, aux) if cfg.aggregator == "clustervote"
+        ClusterVote(cfg, ground_truth, aux) if cfg.aggregator == "clustervote"
         else functools.partial(_baseline_round, cfg, aux))
 
     records: List[RoundRecord] = []
@@ -248,77 +246,50 @@ class _Clients:
     """Local training of the selected clients, honest or attacking, for one run."""
 
     def __init__(self, cfg: SimConfig, partitions: Sequence[LabeledDataset],
-                 trigger: TriggerPattern, inf_cfg: inference.InferenceConfig):
+                 trigger: TriggerPattern):
         self.cfg = cfg
         self.partitions = partitions
-        self.inf_cfg = inf_cfg
-        self.spec = attacks.AttackSpec(
-            poison_count=cfg.poison_count,
-            boost=cfg.boost,
-            stealth_rho=cfg.stealth_rho,
-            lambda_clean=cfg.lambda_clean,
-        )
         # attacker id -> its poison pool; empty when nobody attacks
         attacking = cfg.attack != "none" and cfg.num_malicious > 0
         self.pools = _build_attack_pools(cfg, trigger, partitions) if attacking else {}
 
-    def updates(self, theta: ModelParams, selected: Sequence[int], t: int) -> List[ModelUpdate]:
+    def updates(self, theta: ModelParams, selected: Sequence[int], t: int) -> List[np.ndarray]:
         """One update per selected client, in selection order.
 
         Sybil colluders all submit copies of one update, trained when the
         first of them comes up. A failure names the client being trained.
         """
         cfg = self.cfg
-        updates: Dict[int, ModelUpdate] = {}
+        updates: Dict[int, np.ndarray] = {}
         for cid in selected:
             if cid in updates:
                 continue  # a sybil copy, made with its leader's update
             try:
                 if cid not in self.pools:
-                    ds = self.partitions[cid]
                     updates[cid] = local_train(
-                        theta, Batch(ds.samples, ds.labels),
-                        cfg.epochs, cfg.lr_client, cfg.batch_size,
-                        derive_seed(cfg.seed, _CLIENT, t, cid),
-                        client_id=cid, round_index=t,
-                    )
+                        theta, self.partitions[cid], cfg.epochs, cfg.lr_client,
+                        cfg.batch_size, derive_seed(cfg.seed, _CLIENT, t, cid))
                 elif cfg.attack == "sybil":
                     leader = self._attack("alternate", theta, cid, t)
                     colluders = [c for c in selected if c in self.pools]
-                    for upd in attacks.sybil_updates(leader, colluders, t):
-                        updates[upd.client_id] = upd
+                    updates.update(zip(colluders, attacks.sybil_updates(leader, colluders)))
                 else:
                     updates[cid] = self._attack(cfg.attack, theta, cid, t)
             except (ShapeError, TrainingError, ConfigError) as exc:
                 raise type(exc)(f"round {t}, client {cid}: {exc}") from exc
         return [updates[cid] for cid in selected]
 
-    def _attack(self, kind: str, theta: ModelParams, cid: int, t: int) -> ModelUpdate:
+    def _attack(self, kind: str, theta: ModelParams, cid: int, t: int) -> np.ndarray:
         cfg, clean, pool = self.cfg, self.partitions[cid], self.pools[cid]
         seed = derive_seed(cfg.seed, _CLIENT, t, cid)
         if kind in ("basic", "dba"):  # dba differs only in its pool's trigger slice
-            return attacks.basic_attack(
-                theta, clean, pool, cfg.poison_count,
-                cfg.epochs, cfg.lr_client, cfg.batch_size, seed,
-                client_id=cid, round_index=t,
-            )
+            return attacks.basic_attack(theta, clean, pool, cfg, seed)
         # alternate-family attacks anchor on the attacker's own honest update
-        benign = local_train(
-            theta, Batch(clean.samples, clean.labels),
-            cfg.epochs, cfg.lr_client, cfg.batch_size,
-            derive_seed(cfg.seed, _BENIGN, t, cid),
-        ).delta
+        benign = local_train(theta, clean, cfg.epochs, cfg.lr_client, cfg.batch_size,
+                             derive_seed(cfg.seed, _BENIGN, t, cid))
         if kind == "alternate":
-            return attacks.alternate_attack(
-                theta, clean, pool, benign, self.spec,
-                cfg.epochs, cfg.lr_client, cfg.batch_size, seed,
-                client_id=cid, round_index=t,
-            )
-        return attacks.adaptive_attack(
-            theta, clean, pool, benign, self.spec, self.inf_cfg,
-            cfg.epochs, cfg.lr_client, cfg.batch_size, seed,
-            client_id=cid, round_index=t,
-        )
+            return attacks.alternate_attack(theta, clean, pool, benign, cfg, seed)
+        return attacks.adaptive_attack(theta, clean, pool, benign, cfg, seed)
 
 
 class ClusterVote:
@@ -331,10 +302,8 @@ class ClusterVote:
     inferred sufficiency columns as the run progresses.
     """
 
-    def __init__(self, cfg: SimConfig, inf_cfg: inference.InferenceConfig,
-                 ground_truth: SufficiencyMatrix, aux: LabeledDataset):
+    def __init__(self, cfg: SimConfig, ground_truth: SufficiencyMatrix, aux: LabeledDataset):
         self.cfg = cfg
-        self.inf_cfg = inf_cfg
         self.ground_truth = ground_truth
         # representation features use one fixed auxiliary class
         self.aux_rep = aux.subset(np.flatnonzero(aux.labels == 0))
@@ -357,22 +326,22 @@ class ClusterVote:
         if self.indicator_obs[client_id] < self.cfg.indicator_obs_cap:
             self.indicator_sum[client_id] += u
             self.indicator_obs[client_id] += 1
-        if self.inf_cfg.threshold_mode == "absolute":
+        if self.cfg.threshold_mode == "absolute":
             return self.indicator_sum[client_id] / self.indicator_obs[client_id]
         return self.indicator_sum[client_id]
 
-    def __call__(self, theta: ModelParams, updates: List[ModelUpdate],
+    def __call__(self, theta: ModelParams, updates: List[np.ndarray],
                  selected: List[int], t: int) -> Tuple[ModelParams, RoundRecord]:
         cfg = self.cfg
         shapes = theta.shapes
-        deltas = [u.delta for u in updates]
         indicators = [
             inference.class_indicator(
                 inference.recover_last_layer_gradient(d, shapes, cfg.lr_client))
-            for d in deltas
+            for d in updates
         ]
         smoothed = [self.observe(cid, u) for cid, u in zip(selected, indicators)]
-        A_hat = np.stack([inference.infer_column(u, self.inf_cfg) for u in smoothed], axis=1)
+        A_hat = np.stack([inference.infer_column(u, cfg.threshold_mode, cfg.beta)
+                          for u in smoothed], axis=1)
         inf_acc = inference.distribution_accuracy(self.ground_truth.A[:, selected], A_hat)
 
         if A_hat.sum() > 0:
@@ -386,15 +355,10 @@ class ClusterVote:
 
         votes = np.zeros(len(selected), dtype=np.int64)
         if "gradient" in cfg.voting_metrics:
-            votes += trust.cluster_votes(x, deltas, k_vote)
+            votes += trust.cluster_votes(x, updates, k_vote)
         if "representation" in cfg.voting_metrics:
-            reps = [
-                representation(
-                    ModelParams(theta.flat + d, list(shapes)),
-                    Batch(self.aux_rep.samples, self.aux_rep.labels),
-                )
-                for d in deltas
-            ]
+            reps = [representation(ModelParams(theta.flat + d, list(shapes)), self.aux_rep)
+                    for d in updates]
             votes += trust.cluster_votes(x, reps, k_vote)
 
         prev = self.ledger.immediate  # last round's map; update() replaces it
@@ -440,27 +404,23 @@ def _baseline_round(
     cfg: SimConfig,
     aux: LabeledDataset,
     theta: ModelParams,
-    updates: List[ModelUpdate],
+    updates: List[np.ndarray],
     selected: List[int],
     t: int,
 ) -> Tuple[ModelParams, RoundRecord]:
     """One of the five reference aggregators; its record has no defense fields."""
-    deltas = [u.delta for u in updates]
     if cfg.aggregator == "fedavg":
-        step = baselines.fedavg(deltas)
+        step = baselines.fedavg(updates)
     elif cfg.aggregator == "krum":
-        step = baselines.krum(deltas, cfg.agg_f)
+        step = baselines.krum(updates, cfg.agg_f)
     elif cfg.aggregator == "median":
-        step = baselines.coordinate_median(deltas)
+        step = baselines.coordinate_median(updates)
     elif cfg.aggregator == "trim":
-        step = baselines.trimmed_mean(deltas, cfg.agg_f)
+        step = baselines.trimmed_mean(updates, cfg.agg_f)
     else:  # fltrust, anchored on the server's own update on the auxiliary set
-        server = local_train(
-            theta, Batch(aux.samples, aux.labels),
-            cfg.epochs, cfg.lr_client, cfg.batch_size,
-            derive_seed(cfg.seed, _SERVER, t),
-        ).delta
-        step = baselines.fltrust(deltas, server)
+        server = local_train(theta, aux, cfg.epochs, cfg.lr_client, cfg.batch_size,
+                             derive_seed(cfg.seed, _SERVER, t))
+        step = baselines.fltrust(updates, server)
     return ModelParams(theta.flat + step, list(theta.shapes)), RoundRecord(t, selected)
 
 

@@ -11,32 +11,12 @@ sums into a per-client class-sufficiency column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .model import last_layer_weight_block
-
-THRESHOLD_MODES = ("mean", "mean_plus_std", "absolute")
-
-
-@dataclass
-class InferenceConfig:
-    """Threshold rule for turning an indicator vector into sufficiency bits."""
-
-    threshold_mode: str = "mean"
-    beta: float = 0.0          # used by the absolute mode
-    client_lr: float = 0.05    # protocol learning rate, for gradient recovery
-
-    def __post_init__(self):
-        if self.threshold_mode not in THRESHOLD_MODES:
-            raise ConfigError(f"unknown threshold mode {self.threshold_mode!r}")
-        if not np.isfinite(self.beta):
-            raise ConfigError("beta must be finite")
-        if self.client_lr <= 0:
-            raise ConfigError("client learning rate must be positive")
 
 
 def recover_last_layer_gradient(
@@ -62,15 +42,19 @@ def class_indicator(G: np.ndarray) -> np.ndarray:
     return -G.sum(axis=1)
 
 
-def infer_column(u: np.ndarray, cfg: InferenceConfig) -> np.ndarray:
-    """Sufficiency bits for one client: u strictly above the configured threshold."""
+def infer_column(u: np.ndarray, threshold_mode: str, beta: float) -> np.ndarray:
+    """Sufficiency bits for one client: u strictly above the mode's threshold.
+
+    "mean" and "mean_plus_std" derive the threshold from u itself; "absolute"
+    uses beta.
+    """
     u = np.asarray(u, dtype=np.float64)
-    if cfg.threshold_mode == "mean":
+    if threshold_mode == "mean":
         beta = u.mean()
-    elif cfg.threshold_mode == "mean_plus_std":
+    elif threshold_mode == "mean_plus_std":
         beta = u.mean() + u.std()
-    else:
-        beta = cfg.beta
+    elif threshold_mode != "absolute":
+        raise ConfigError(f"unknown threshold mode {threshold_mode!r}")
     return (u > beta).astype(np.uint8)
 
 

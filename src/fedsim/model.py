@@ -14,6 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .data import LabeledDataset
 from .errors import ConfigError, ShapeError, TrainingError
 
 Shapes = List[Tuple[int, int]]
@@ -61,51 +62,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.flat.copy(), list(self.shapes))
-
-
-def flatten(layers: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Pack (weight, bias) pairs into a single flat vector."""
-    parts = []
-    for w, b in layers:
-        parts.append(np.asarray(w, dtype=np.float64).ravel())
-        parts.append(np.asarray(b, dtype=np.float64).ravel())
-    return np.concatenate(parts)
-
-
-@dataclass
-class ModelUpdate:
-    """Difference between a locally trained model and the global model."""
-
-    delta: np.ndarray
-    client_id: int = -1
-    round_index: int = -1
-
-    def __post_init__(self):
-        self.delta = np.asarray(self.delta, dtype=np.float64)
-        if not np.all(np.isfinite(self.delta)):
-            raise TrainingError(f"non-finite update from client {self.client_id}")
-
-
-@dataclass
-class Batch:
-    """A batch of samples with integer labels in [0, num_classes)."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or self.labels.ndim != 1:
-            raise ShapeError("inputs must be 2-D and labels 1-D")
-        if self.inputs.shape[0] != self.labels.shape[0]:
-            raise ShapeError("inputs and labels disagree on batch size")
-        if self.inputs.shape[0] < 1:
-            raise ShapeError("batch must contain at least one sample")
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
 
 
 def init_model(layer_dims: Sequence[int], seed: int, zero_last: bool = False) -> ModelParams:
@@ -160,22 +116,31 @@ def forward(params: ModelParams, inputs: np.ndarray) -> Tuple[np.ndarray, np.nda
     return logits, a
 
 
-def loss_and_grad(params: ModelParams, batch: Batch) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its exact analytic gradient.
+def loss_and_grad(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch (x, y) and its exact analytic gradient.
 
     Backprop through the ReLU stack; the logits-layer gradient per sample is
-    softmax(logits) - onehot(label), averaged over the batch.
+    softmax(logits) - onehot(label), averaged over the batch. Each layer's
+    gradient is written into its view of one flat vector.
     """
-    x, y = batch.inputs, batch.labels
-    if y.min(initial=0) < 0 or y.max(initial=0) >= params.num_classes:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or y.ndim != 1:
+        raise ShapeError("inputs must be 2-D and labels 1-D")
+    n = x.shape[0]
+    if n != y.shape[0]:
+        raise ShapeError("inputs and labels disagree on batch size")
+    if n < 1:
+        raise ShapeError("batch must contain at least one sample")
+    if y.min() < 0 or y.max() >= params.num_classes:
         raise ShapeError("labels out of range for the model's class count")
+    if x.shape[1] != params.shapes[0][1]:
+        raise ShapeError("batch width does not match the model input width")
     layers = params.layers()
     # forward, caching pre-activations
-    acts = [np.asarray(x, dtype=np.float64)]
-    if acts[0].shape[1] != params.shapes[0][1]:
-        raise ShapeError("batch width does not match the model input width")
+    acts = [x]
     pre = []
-    a = acts[0]
+    a = x
     for w, b in layers[:-1]:
         z = a @ w.T + b
         pre.append(z)
@@ -185,37 +150,39 @@ def loss_and_grad(params: ModelParams, batch: Batch) -> Tuple[float, np.ndarray]
     logits = a @ w_last.T + b_last
 
     probs = softmax(logits)
-    n = batch.size
     # clip only inside the log; the gradient uses the exact probabilities
     loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), y], 1e-300))))
-
-    dz = probs.copy()
+    dz = probs  # edited in place: the loss has been read
     dz[np.arange(n), y] -= 1.0
     dz /= n
 
-    grads: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    grad = np.empty(params.dim)
+    grads = ModelParams(grad, params.shapes).layers()
     for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        gw = dz.T @ acts[li]
-        gb = dz.sum(axis=0)
-        grads[li] = (gw, gb)
+        gw, gb = grads[li]
+        np.matmul(dz.T, acts[li], out=gw)
+        dz.sum(axis=0, out=gb)
         if li > 0:
-            da = dz @ w
-            dz = da * (pre[li - 1] > 0.0)
-    return loss, flatten(grads)
+            dz = (dz @ layers[li][0]) * (pre[li - 1] > 0.0)
+    return loss, grad
+
+
+def finite_update(delta: np.ndarray) -> np.ndarray:
+    """`delta` itself, once every entry is known to be finite."""
+    if not np.all(np.isfinite(delta)):
+        raise TrainingError("non-finite update")
+    return delta
 
 
 def local_train(
     params: ModelParams,
-    data: Batch,
+    data: LabeledDataset,
     epochs: int,
     lr: float,
     batch_size: int,
     seed: int,
-    client_id: int = -1,
-    round_index: int = -1,
     on_step: Optional[Callable[[int, ModelParams, np.ndarray], None]] = None,
-) -> ModelUpdate:
+) -> np.ndarray:
     """Plain minibatch SGD (no momentum); returns delta = theta_after - theta_before.
 
     Batches are drawn by a seeded per-epoch shuffle. An epoch that fits in a
@@ -243,20 +210,20 @@ def local_train(
             order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            _, grad = loss_and_grad(theta, Batch(data.inputs[idx], data.labels[idx]))
+            _, grad = loss_and_grad(theta, data.samples[idx], data.labels[idx])
             if on_step is not None:
                 on_step(step, theta, grad)
             delta -= lr * grad
             theta.flat = params.flat + delta
             step += 1
-    return ModelUpdate(delta, client_id=client_id, round_index=round_index)
+    return finite_update(delta)
 
 
-def representation(params: ModelParams, aux: Batch) -> np.ndarray:
+def representation(params: ModelParams, aux: LabeledDataset) -> np.ndarray:
     """Mean penultimate activation over the auxiliary samples."""
     if aux.size < 1:
         raise ShapeError("auxiliary batch must be non-empty")
-    _, pen = forward(params, aux.inputs)
+    _, pen = forward(params, aux.samples)
     return pen.mean(axis=0)
 
 

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Set
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .model import ModelParams, ModelUpdate
+from .model import ModelParams
 
 ZERO_NORM_EPS = 1e-12
 
@@ -159,7 +159,7 @@ def median_discard(
 
 def aggregate(
     theta: ModelParams,
-    updates: Sequence[ModelUpdate],
+    updates: Sequence[np.ndarray],
     trust: Sequence[float],
     lr_server: float,
     toward_clients: bool = True,
@@ -177,9 +177,9 @@ def aggregate(
         raise ConfigError("trust weights must be >= 0")
     step = np.zeros_like(theta.flat)
     for upd, t in zip(updates, trust):
-        norm = np.linalg.norm(upd.delta)
+        norm = np.linalg.norm(upd)
         if norm < ZERO_NORM_EPS:
             continue
-        step += t * upd.delta / norm
+        step += t * upd / norm
     sign = 1.0 if toward_clients else -1.0
     return ModelParams(theta.flat + sign * lr_server * step, list(theta.shapes))

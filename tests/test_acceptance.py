@@ -14,7 +14,7 @@ from fedsim.baselines import coordinate_median, fedavg, krum, trimmed_mean
 from fedsim.clustering import active_columns, compute_thresholds, greedy_cluster, objective_value
 from fedsim.config import SimConfig
 from fedsim.harness import run_experiment, write_csv
-from fedsim.model import Batch, init_model, loss_and_grad
+from fedsim.model import init_model, loss_and_grad
 
 SEEDS = (1, 2, 3)
 
@@ -206,16 +206,16 @@ def test_criterion_8_numerical_core():
     # analytic gradients vs central finite differences, 100 probes
     rng = np.random.default_rng(123)
     model = init_model([32, 64, 10], seed=11)
-    batch = Batch(rng.standard_normal((16, 32)), rng.integers(0, 10, size=16))
-    _, grad = loss_and_grad(model, batch)
+    x, y = rng.standard_normal((16, 32)), rng.integers(0, 10, size=16)
+    _, grad = loss_and_grad(model, x, y)
     h = 1e-5
     worst = 0.0
     for idx in rng.choice(model.dim, size=100, replace=False):
         theta = model.copy()
         theta.flat[idx] += h
-        up, _ = loss_and_grad(theta, batch)
+        up, _ = loss_and_grad(theta, x, y)
         theta.flat[idx] -= 2 * h
-        down, _ = loss_and_grad(theta, batch)
+        down, _ = loss_and_grad(theta, x, y)
         fd = (up - down) / (2 * h)
         rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-8)
         worst = max(worst, rel)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fedsim.attacks import (
-    AttackSpec,
     adaptive_attack,
     alternate_attack,
     basic_attack,
@@ -14,14 +13,13 @@ from fedsim.attacks import (
 )
 from fedsim.config import SimConfig
 from fedsim.data import TriggerPattern, class_means, gen_dataset
-from fedsim.errors import ConfigError
+from fedsim.errors import ConfigError, TrainingError
 from fedsim.inference import (
-    InferenceConfig,
     class_indicator,
     infer_column,
     recover_last_layer_gradient,
 )
-from fedsim.model import Batch, init_model, local_train
+from fedsim.model import init_model, local_train
 from fedsim.trust import aggregate, cosine_similarity
 
 M, R_IN = 6, 16
@@ -39,8 +37,12 @@ def setup():
 
 
 def honest_update(model, clean, seed=10):
-    return local_train(model, Batch(clean.samples, clean.labels),
-                       epochs=4, lr=0.05, batch_size=16, seed=seed)
+    return local_train(model, clean, epochs=4, lr=0.05, batch_size=16, seed=seed)
+
+
+def knobs(**kw):
+    """A config training like honest_update, with the given attack knobs."""
+    return SimConfig(**{"epochs": 4, "lr_client": 0.05, "batch_size": 16, **kw})
 
 
 def test_spec_validation():
@@ -65,19 +67,17 @@ def test_poison_pool_relabels_everything(setup):
 def test_basic_degenerates_to_honest(setup):
     clean, _, pool, model = setup
     honest = honest_update(model, clean)
-    attack = basic_attack(model, clean, pool, poison_count=0,
-                          epochs=4, lr=0.05, batch_size=16, seed=10)
-    assert np.array_equal(attack.delta, honest.delta)
+    attack = basic_attack(model, clean, pool, knobs(poison_count=0), seed=10)
+    assert np.array_equal(attack, honest)
 
 
 def test_alternate_degenerates_to_honest(setup):
     clean, _, pool, model = setup
-    spec = AttackSpec(poison_count=0, boost=1.0, stealth_rho=0.0)
+    cfg = knobs(poison_count=0, boost=1.0, stealth_rho=0.0)
     honest = honest_update(model, clean)
-    benign = honest_update(model, clean, seed=77).delta
-    attack = alternate_attack(model, clean, pool, benign, spec,
-                              epochs=4, lr=0.05, batch_size=16, seed=10)
-    assert np.array_equal(attack.delta, honest.delta)
+    benign = honest_update(model, clean, seed=77)
+    attack = alternate_attack(model, clean, pool, benign, cfg, seed=10)
+    assert np.array_equal(attack, honest)
 
 
 def test_dba_part_one_equals_basic(setup):
@@ -85,51 +85,45 @@ def test_dba_part_one_equals_basic(setup):
     # one slice of the trigger; with one part the slice is the whole trigger
     clean, base, pool, model = setup
     part_pool = make_poison_pool(base, TRIG.part(1, 0))
-    via_dba = basic_attack(model, clean, part_pool, poison_count=20,
-                           epochs=2, lr=0.05, batch_size=16, seed=5)
-    via_basic = basic_attack(model, clean, pool, poison_count=20,
-                             epochs=2, lr=0.05, batch_size=16, seed=5)
-    assert np.array_equal(via_dba.delta, via_basic.delta)
+    cfg = knobs(poison_count=20, epochs=2)
+    via_dba = basic_attack(model, clean, part_pool, cfg, seed=5)
+    via_basic = basic_attack(model, clean, pool, cfg, seed=5)
+    assert np.array_equal(via_dba, via_basic)
 
 
 def test_dba_parts_use_sub_patterns(setup):
     clean, base, _, model = setup
-    a, b = (basic_attack(model, clean, make_poison_pool(base, TRIG.part(2, k)), poison_count=10,
-                         epochs=1, lr=0.05, batch_size=64, seed=5)
+    cfg = knobs(poison_count=10, epochs=1, batch_size=64)
+    a, b = (basic_attack(model, clean, make_poison_pool(base, TRIG.part(2, k)), cfg, seed=5)
             for k in range(2))
-    assert np.any(a.delta != b.delta)
+    assert np.any(a != b)
 
 
 def test_stealth_pull_dominates_at_huge_rho(setup):
     clean, _, pool, model = setup
-    benign = honest_update(model, clean, seed=77).delta
-    spec = AttackSpec(poison_count=30, boost=1.0, stealth_rho=1e4)
-    attack = alternate_attack(model, clean, pool, benign, spec,
-                              epochs=4, lr=0.05, batch_size=16, seed=10)
-    assert cosine_similarity(attack.delta, benign) > 0.99
+    benign = honest_update(model, clean, seed=77)
+    cfg = knobs(poison_count=30, boost=1.0, stealth_rho=1e4)
+    attack = alternate_attack(model, clean, pool, benign, cfg, seed=10)
+    assert cosine_similarity(attack, benign) > 0.99
 
 
 def test_boost_scales_update_exactly(setup):
     clean, _, pool, model = setup
-    benign = honest_update(model, clean, seed=77).delta
-    kwargs = dict(epochs=2, lr=0.05, batch_size=16, seed=11)
-    base_spec = AttackSpec(poison_count=20, boost=1.0)
-    boosted_spec = AttackSpec(poison_count=20, boost=5.0)
-    d1 = alternate_attack(model, clean, pool, benign, base_spec, **kwargs).delta
-    d5 = alternate_attack(model, clean, pool, benign, boosted_spec, **kwargs).delta
+    benign = honest_update(model, clean, seed=77)
+    d1 = alternate_attack(model, clean, pool, benign,
+                          knobs(poison_count=20, epochs=2, boost=1.0), seed=11)
+    d5 = alternate_attack(model, clean, pool, benign,
+                          knobs(poison_count=20, epochs=2, boost=5.0), seed=11)
     assert np.array_equal(d5, 5.0 * d1)
 
 
 def test_boost_invisible_after_normalized_aggregation(setup):
     clean, _, pool, model = setup
-    benign = honest_update(model, clean, seed=77).delta
-    kwargs = dict(epochs=2, lr=0.05, batch_size=16, seed=11)
+    benign = honest_update(model, clean, seed=77)
     d1 = alternate_attack(model, clean, pool, benign,
-                          AttackSpec(poison_count=20, boost=1.0),
-                          **kwargs)
+                          knobs(poison_count=20, epochs=2, boost=1.0), seed=11)
     d5 = alternate_attack(model, clean, pool, benign,
-                          AttackSpec(poison_count=20, boost=5.0),
-                          **kwargs)
+                          knobs(poison_count=20, epochs=2, boost=5.0), seed=11)
     out1 = aggregate(model, [d1], [0.3], lr_server=0.1)
     out5 = aggregate(model, [d5], [0.3], lr_server=0.1)
     assert np.max(np.abs(out1.flat - out5.flat)) < 1e-12
@@ -138,74 +132,76 @@ def test_boost_invisible_after_normalized_aggregation(setup):
 def test_sybil_copies_are_byte_identical(setup):
     clean, _, pool, model = setup
     leader = honest_update(model, clean)
-    copies = sybil_updates(leader, [3, 7, 9], round_index=4)
-    assert [u.client_id for u in copies] == [3, 7, 9]
+    copies = sybil_updates(leader, [3, 7, 9])
+    assert len(copies) == 3
     for u in copies:
-        assert np.array_equal(u.delta, leader.delta)
-        assert u.round_index == 4
+        assert np.array_equal(u, leader) and u is not leader
     with pytest.raises(ConfigError):
-        sybil_updates(leader, [], round_index=0)
+        sybil_updates(leader, [])
 
 
 def test_forge_yields_full_claim_under_absolute_threshold(setup):
     clean, _, pool, model = setup
-    cfg = InferenceConfig(threshold_mode="absolute", beta=4.0, client_lr=0.05)
+    cfg = knobs(threshold_mode="absolute", beta=4.0)
     upd = honest_update(model, clean)
-    forged = forge_full_claim(upd.delta, model.shapes, lr=0.05, inf_cfg=cfg)
+    forged = forge_full_claim(upd, model.shapes, cfg)
     u = class_indicator(recover_last_layer_gradient(forged, model.shapes, 0.05))
-    assert np.all(infer_column(u, cfg) == 1)
+    assert np.all(infer_column(u, "absolute", 4.0) == 1)
 
 
 def test_forge_is_noop_for_relative_threshold_columns(setup):
     clean, _, pool, model = setup
-    cfg = InferenceConfig(threshold_mode="mean", client_lr=0.05)
     upd = honest_update(model, clean)
-    forged = forge_full_claim(upd.delta, model.shapes, lr=0.05, inf_cfg=cfg)
-    u0 = class_indicator(recover_last_layer_gradient(upd.delta, model.shapes, 0.05))
+    forged = forge_full_claim(upd, model.shapes, knobs(threshold_mode="mean"))
+    u0 = class_indicator(recover_last_layer_gradient(upd, model.shapes, 0.05))
     u1 = class_indicator(recover_last_layer_gradient(forged, model.shapes, 0.05))
-    assert np.array_equal(infer_column(u0, cfg), infer_column(u1, cfg))
+    assert np.array_equal(infer_column(u0, "mean", 0.0), infer_column(u1, "mean", 0.0))
     assert np.all(u1 > u0)  # the lift itself is real
 
 
 def test_adaptive_touches_only_last_layer_block(setup):
     clean, _, pool, model = setup
-    benign = honest_update(model, clean, seed=77).delta
-    spec = AttackSpec(poison_count=0, boost=1.0, stealth_rho=0.0)
-    cfg = InferenceConfig(threshold_mode="mean", client_lr=0.05)
+    benign = honest_update(model, clean, seed=77)
+    cfg = knobs(poison_count=0, boost=1.0, stealth_rho=0.0, threshold_mode="mean")
     honest = honest_update(model, clean)
-    attack = adaptive_attack(model, clean, pool, benign, spec, cfg,
-                             epochs=4, lr=0.05, batch_size=16, seed=10)
+    attack = adaptive_attack(model, clean, pool, benign, cfg, seed=10)
     tail = M * 12 + M  # last layer weight block + bias
-    head = attack.delta.size - tail
-    assert np.array_equal(attack.delta[:head], honest.delta[:head])
-    assert np.any(attack.delta[head:] != honest.delta[head:])
+    head = attack.size - tail
+    assert np.array_equal(attack[:head], honest[:head])
+    assert np.any(attack[head:] != honest[head:])
 
 
 def test_attack_updates_finite(setup):
     clean, _, pool, model = setup
-    benign = honest_update(model, clean, seed=77).delta
-    spec = AttackSpec(poison_count=30, boost=2.0, stealth_rho=0.1)
-    upd = alternate_attack(model, clean, pool, benign, spec,
-                           epochs=4, lr=0.05, batch_size=16, seed=1)
-    assert np.all(np.isfinite(upd.delta))
+    benign = honest_update(model, clean, seed=77)
+    cfg = knobs(poison_count=30, boost=2.0, stealth_rho=0.1)
+    upd = alternate_attack(model, clean, pool, benign, cfg, seed=1)
+    assert np.all(np.isfinite(upd))
+
+
+@pytest.mark.parametrize("attack", [alternate_attack, adaptive_attack])
+def test_diverging_attack_update_rejected(setup, attack):
+    clean, _, pool, model = setup
+    benign = honest_update(model, clean, seed=77)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match="^non-finite update$"):
+            attack(model, clean, pool, benign, knobs(poison_count=30, lr_client=1e200), seed=1)
 
 
 def test_weighted_clean_gradient_path(setup):
     # lambda_clean != 1 reweights clean samples; a pure-clean batch then
     # scales the plain gradient exactly
     clean, _, pool, model = setup
-    benign = honest_update(model, clean, seed=77).delta
-    lam_spec = AttackSpec(poison_count=0, boost=1.0, stealth_rho=0.0, lambda_clean=2.0)
-    d_lam = alternate_attack(model, clean, pool, benign, lam_spec,
-                             epochs=1, lr=0.05, batch_size=clean.size, seed=10)
-    d_hon = local_train(model, Batch(clean.samples, clean.labels),
-                        epochs=1, lr=0.05, batch_size=clean.size, seed=10)
+    benign = honest_update(model, clean, seed=77)
+    cfg = knobs(poison_count=0, boost=1.0, stealth_rho=0.0, lambda_clean=2.0,
+                epochs=1, batch_size=clean.size)
+    d_lam = alternate_attack(model, clean, pool, benign, cfg, seed=10)
+    d_hon = local_train(model, clean, epochs=1, lr=0.05, batch_size=clean.size, seed=10)
     # weights cancel in the weighted mean when all samples are clean
-    assert np.allclose(d_lam.delta, d_hon.delta, atol=1e-12)
+    assert np.allclose(d_lam, d_hon, atol=1e-12)
 
 
 def test_poison_count_exceeding_pool_rejected(setup):
     clean, _, pool, model = setup
     with pytest.raises(ConfigError):
-        basic_attack(model, clean, pool, poison_count=pool.size + 1,
-                     epochs=1, lr=0.05, batch_size=16, seed=0)
+        basic_attack(model, clean, pool, knobs(poison_count=pool.size + 1, epochs=1), seed=0)

@@ -110,6 +110,19 @@ def test_data_shape_validation(kw, field):
         SimConfig(**kw)
 
 
+@pytest.mark.parametrize("kw, field", [
+    (dict(epochs=0), "epochs"),
+    (dict(batch_size=0), "batch_size"),
+    (dict(base_count=0), "base_count"),
+    (dict(base_count=2001), "base_count"),          # 10 classes x 200 test records
+    (dict(hidden_dims=(64, 0)), "hidden_dims"),
+])
+def test_training_and_evaluation_sizes_validated(kw, field):
+    # rejected before round 0 trains, not by the first client or evaluation
+    with pytest.raises(ConfigError, match=field):
+        SimConfig(**kw)
+
+
 def test_budget_edges_accepted():
     SimConfig(aggregator="krum", agg_f=3)    # 10 per round = 2f+3 + 1
     SimConfig(aggregator="trim", agg_f=4)    # 10 per round > 2f = 8
@@ -117,3 +130,6 @@ def test_budget_edges_accepted():
     SimConfig(aux_classes=0, voting_metrics=("gradient",))
     SimConfig(shards=50)
     SimConfig(num_classes=28)
+    SimConfig(base_count=1)
+    SimConfig(base_count=2000)
+    SimConfig(epochs=1, batch_size=1, hidden_dims=(1,))

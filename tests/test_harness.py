@@ -18,7 +18,7 @@ from fedsim.harness import (
     select_clients,
     write_csv,
 )
-from fedsim.model import Batch, ModelParams, init_model, local_train, param_dim
+from fedsim.model import ModelParams, init_model, local_train, param_dim
 
 TINY = dict(n_clients=10, num_malicious=2, selection_ratio=0.5, rounds=4,
             per_class=100, shards=50, pool_size=60, poison_count=20,
@@ -76,8 +76,7 @@ def test_evaluate_base_records_exclude_target():
     means = class_means(6, 16, seed=3)
     test = gen_dataset(6, 16, 30, seed=3, means=means)
     model = init_model([16, 12, 6], seed=1)
-    upd = local_train(model, Batch(test.samples, test.labels), 5, 0.1, 32, 0)
-    model.flat += upd.delta
+    model.flat += local_train(model, test, 5, 0.1, 32, 0)
     trig = TriggerPattern((0, 1), (3.0, -3.0), 2)
     acc, asr, defined = evaluate(model, test, trig, base_count=60)
     assert defined and 0.0 <= asr <= 1.0
@@ -157,11 +156,12 @@ def test_training_failure_names_the_failing_client(monkeypatch):
     else:
         pytest.fail("no round selects both an attacker and an honest client")
     victim = max(selected)
+    victim_seed = harness.derive_seed(cfg.seed, harness._CLIENT, t, victim)
     orig = harness.local_train
-    def failing(*args, **kw):
-        if kw.get("client_id") == victim and kw.get("round_index") == t:
+    def failing(params, data, epochs, lr, batch_size, seed):
+        if seed == victim_seed:
             raise TrainingError("boom")
-        return orig(*args, **kw)
+        return orig(params, data, epochs, lr, batch_size, seed)
     monkeypatch.setattr(harness, "local_train", failing)
     with pytest.raises(TrainingError, match=rf"^round {t}, client {victim}: boom$"):
         run_experiment(cfg)
@@ -222,6 +222,13 @@ def test_cli_sweep(tmp_path):
 
 def test_cli_bad_override_exit_code(tmp_path):
     assert main(["run", "--override", "bogus_key=1", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_zero_batch_size_is_one_config_error(tmp_path, capsys):
+    assert main(["run", "--override", "batch_size=0", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: ") and "batch_size" in err[0]
 
 
 def test_cli_bad_config_fails_before_training(tmp_path, monkeypatch):

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from fedsim.data import class_means, gen_dataset
+from fedsim.config import SimConfig
+from fedsim.data import LabeledDataset, class_means, gen_dataset
 from fedsim.errors import ConfigError, ShapeError
 from fedsim.inference import (
-    InferenceConfig,
     class_indicator,
     distribution_accuracy,
     infer_column,
     recover_last_layer_gradient,
 )
 from fedsim.model import (
-    Batch,
     init_model,
     last_layer_weight_block,
     local_train,
@@ -24,10 +23,10 @@ from fedsim.model import (
 def test_recover_single_step_identity():
     rng = np.random.default_rng(0)
     model = init_model([16, 12, 6], seed=1)
-    batch = Batch(rng.standard_normal((20, 16)), rng.integers(0, 6, size=20))
+    batch = LabeledDataset(rng.standard_normal((20, 16)), rng.integers(0, 6, size=20), 6)
     upd = local_train(model, batch, epochs=1, lr=0.1, batch_size=32, seed=0)
-    G = recover_last_layer_gradient(upd.delta, model.shapes, lr=0.1)
-    _, grad = loss_and_grad(model, batch)
+    G = recover_last_layer_gradient(upd, model.shapes, lr=0.1)
+    _, grad = loss_and_grad(model, batch.samples, batch.labels)
     expected = last_layer_weight_block(grad, model.shapes)
     assert np.max(np.abs(G - expected)) < 1e-14
 
@@ -48,7 +47,7 @@ def test_recover_matches_instrumented_loop():
     # oracle: capture every per-step last-layer gradient via the hook and sum
     rng = np.random.default_rng(1)
     model = init_model([16, 12, 6], seed=2)
-    batch = Batch(rng.standard_normal((40, 16)), rng.integers(0, 6, size=40))
+    batch = LabeledDataset(rng.standard_normal((40, 16)), rng.integers(0, 6, size=40), 6)
     captured = []
     upd = local_train(
         model, batch, epochs=5, lr=0.05, batch_size=8, seed=3,
@@ -56,7 +55,7 @@ def test_recover_matches_instrumented_loop():
             last_layer_weight_block(grad, model.shapes).copy()),
     )
     accumulated = np.sum(captured, axis=0)
-    G = recover_last_layer_gradient(upd.delta, model.shapes, lr=0.05)
+    G = recover_last_layer_gradient(upd, model.shapes, lr=0.05)
     assert np.max(np.abs(G - accumulated)) < 1e-8
 
 
@@ -70,9 +69,9 @@ def test_indicator_single_class_argmax():
     rng = np.random.default_rng(4)
     model = init_model([16, 12, 6], seed=7)
     for c in range(6):
-        batch = Batch(rng.standard_normal((1, 16)), np.array([c]))
+        batch = LabeledDataset(rng.standard_normal((1, 16)), np.array([c]), 6)
         upd = local_train(model, batch, epochs=1, lr=0.05, batch_size=4, seed=0)
-        u = class_indicator(recover_last_layer_gradient(upd.delta, model.shapes, 0.05))
+        u = class_indicator(recover_last_layer_gradient(upd, model.shapes, 0.05))
         assert int(np.argmax(u)) == c
 
 
@@ -83,35 +82,38 @@ def test_indicator_two_class_client():
     ds = gen_dataset(10, 32, 40, seed=5, means=means)
     keep = np.isin(ds.labels, (2, 7))
     model = init_model([32, 64, 10], seed=3, zero_last=True)
-    upd = local_train(model, Batch(ds.samples[keep], ds.labels[keep]),
+    upd = local_train(model, ds.subset(np.flatnonzero(keep)),
                       epochs=5, lr=0.05, batch_size=64, seed=1)
-    u = class_indicator(recover_last_layer_gradient(upd.delta, model.shapes, 0.05))
+    u = class_indicator(recover_last_layer_gradient(upd, model.shapes, 0.05))
     assert set(np.argsort(u)[-2:]) == {2, 7}
 
 
 def test_infer_column_modes():
-    cfg_mean = InferenceConfig(threshold_mode="mean")
     u = np.zeros(10)
     u[0] = 5.0
-    assert np.array_equal(infer_column(u, cfg_mean),
+    assert np.array_equal(infer_column(u, "mean", 0.0),
                           np.array([1, 0, 0, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8))
     # constant vector: nothing strictly exceeds the mean
-    assert np.all(infer_column(np.full(10, 3.3), cfg_mean) == 0)
-    cfg_abs = InferenceConfig(threshold_mode="absolute", beta=2.0)
-    assert np.array_equal(infer_column(np.array([1.0, 2.0, 3.0]), cfg_abs),
+    assert np.all(infer_column(np.full(10, 3.3), "mean", 0.0) == 0)
+    assert np.array_equal(infer_column(np.array([1.0, 2.0, 3.0]), "absolute", 2.0),
                           np.array([0, 0, 1], dtype=np.uint8))
-    cfg_std = InferenceConfig(threshold_mode="mean_plus_std")
     v = np.array([10.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(infer_column(v, cfg_std), np.array([1, 0, 0, 0], dtype=np.uint8))
+    assert np.array_equal(infer_column(v, "mean_plus_std", 0.0),
+                          np.array([1, 0, 0, 0], dtype=np.uint8))
+    with pytest.raises(ConfigError):
+        infer_column(v, "quantile", 0.0)  # not read as "absolute"
 
 
 def test_inference_config_validation():
+    # the inference knobs are checked where the config is built
+    with pytest.raises(ConfigError, match="threshold_mode"):
+        SimConfig(threshold_mode="quantile")
     with pytest.raises(ConfigError):
-        InferenceConfig(threshold_mode="quantile")
-    with pytest.raises(ConfigError):
-        InferenceConfig(client_lr=0.0)
-    with pytest.raises(ConfigError):
-        InferenceConfig(beta=float("inf"), threshold_mode="absolute")
+        SimConfig(lr_client=0.0)
+    with pytest.raises(ConfigError, match="beta"):
+        SimConfig(beta=float("inf"), threshold_mode="absolute")
+    with pytest.raises(ConfigError, match="beta"):
+        SimConfig(beta=float("nan"), threshold_mode="absolute")
 
 
 def test_distribution_accuracy_definition():
@@ -130,8 +132,7 @@ def test_indicator_scale_equivariance():
     G = rng.standard_normal((8, 5))
     u = class_indicator(G)
     assert np.allclose(class_indicator(3.5 * G), 3.5 * u, atol=1e-12)
-    cfg = InferenceConfig(threshold_mode="mean")
-    assert np.array_equal(infer_column(u, cfg), infer_column(7.0 * u, cfg))
+    assert np.array_equal(infer_column(u, "mean", 0.0), infer_column(7.0 * u, "mean", 0.0))
 
 
 def test_indicator_permutation_equivariance():
@@ -144,13 +145,12 @@ def test_indicator_permutation_equivariance():
 def test_infer_matrix_stacks_columns():
     rng = np.random.default_rng(7)
     model = init_model([16, 12, 6], seed=9)
-    cfg = InferenceConfig(client_lr=0.05)
     deltas = []
     for c in (0, 3):
-        batch = Batch(rng.standard_normal((5, 16)), np.full(5, c))
-        deltas.append(local_train(model, batch, epochs=1, lr=0.05, batch_size=8, seed=0).delta)
+        batch = LabeledDataset(rng.standard_normal((5, 16)), np.full(5, c), 6)
+        deltas.append(local_train(model, batch, epochs=1, lr=0.05, batch_size=8, seed=0))
     A_hat = np.stack([
-        infer_column(class_indicator(recover_last_layer_gradient(d, model.shapes, cfg.client_lr)), cfg)
+        infer_column(class_indicator(recover_last_layer_gradient(d, model.shapes, 0.05)), "mean", 0.0)
         for d in deltas
     ], axis=1)
     assert A_hat.shape == (6, 2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedsim.errors import ConfigError, ShapeError
-from fedsim.model import ModelParams, ModelUpdate, param_dim
+from fedsim.model import ModelParams, param_dim
 from fedsim.trust import (
     TrustLedger,
     accumulate_trust,
@@ -235,7 +235,7 @@ def test_two_round_discard_scenario():
     discard = median_discard(prev, [1, 2, 3])              # round t selection
     assert discard == {2}
     theta = ModelParams(np.zeros(param_dim([(2, 3)])), [(2, 3)])
-    updates = [ModelUpdate(np.ones(theta.dim), client_id=c) for c in (1, 2, 3)]
+    updates = [np.ones(theta.dim) for _ in (1, 2, 3)]
     weights = [0.5, 0.4, 0.1]
     surviving = [i for i, c in enumerate((1, 2, 3)) if c not in discard]
     out = aggregate(theta, [updates[i] for i in surviving],
@@ -252,10 +252,10 @@ def test_aggregate_sign_check_paper_rule():
     g_hat = np.zeros(theta.dim)
     g_hat[0] = 1.0
     delta = -5.0 * g_hat
-    out = aggregate(theta, [ModelUpdate(delta)], [1.0], lr_server=0.3, toward_clients=False)
+    out = aggregate(theta, [delta], [1.0], lr_server=0.3, toward_clients=False)
     assert np.allclose(out.flat, 0.3 * g_hat, atol=1e-15)
     # default convergent sign moves toward the client model instead
-    out2 = aggregate(theta, [ModelUpdate(delta)], [1.0], lr_server=0.3)
+    out2 = aggregate(theta, [delta], [1.0], lr_server=0.3)
     assert np.allclose(out2.flat, -0.3 * g_hat, atol=1e-15)
 
 
@@ -264,7 +264,7 @@ def test_aggregate_opposite_updates_cancel():
     theta = ModelParams(np.ones(param_dim(shapes)), shapes)
     u = np.zeros(theta.dim)
     u[1] = 2.0
-    out = aggregate(theta, [ModelUpdate(u), ModelUpdate(-u)], [0.5, 0.5], lr_server=1.0)
+    out = aggregate(theta, [u, -u], [0.5, 0.5], lr_server=1.0)
     assert np.allclose(out.flat, theta.flat, atol=1e-15)
 
 
@@ -274,7 +274,7 @@ def test_aggregate_matches_naive_oracle():
     theta = ModelParams(rng.standard_normal(param_dim(shapes)), shapes)
     deltas = [rng.standard_normal(theta.dim) for _ in range(5)]
     trust = rng.random(5)
-    out = aggregate(theta, [ModelUpdate(d) for d in deltas], trust, lr_server=0.2)
+    out = aggregate(theta, deltas, trust, lr_server=0.2)
     naive = theta.flat + 0.2 * sum(t * d / np.linalg.norm(d) for t, d in zip(trust, deltas))
     assert np.max(np.abs(out.flat - naive)) < 1e-10
 
@@ -282,12 +282,12 @@ def test_aggregate_matches_naive_oracle():
 def test_aggregate_skips_zero_norm_and_validates():
     shapes = [(2, 3)]
     theta = ModelParams(np.zeros(param_dim(shapes)), shapes)
-    out = aggregate(theta, [ModelUpdate(np.zeros(theta.dim))], [1.0], lr_server=1.0)
+    out = aggregate(theta, [np.zeros(theta.dim)], [1.0], lr_server=1.0)
     assert np.array_equal(out.flat, theta.flat)
     with pytest.raises(ConfigError):
-        aggregate(theta, [ModelUpdate(np.ones(theta.dim))], [-0.1], lr_server=1.0)
+        aggregate(theta, [np.ones(theta.dim)], [-0.1], lr_server=1.0)
     with pytest.raises(ShapeError):
-        aggregate(theta, [ModelUpdate(np.ones(theta.dim))], [0.5, 0.5], lr_server=1.0)
+        aggregate(theta, [np.ones(theta.dim)], [0.5, 0.5], lr_server=1.0)
 
 
 def test_aggregate_scale_invariance():
@@ -296,6 +296,6 @@ def test_aggregate_scale_invariance():
     shapes = [(3, 3)]
     theta = ModelParams(np.zeros(param_dim(shapes)), shapes)
     d = rng.standard_normal(theta.dim)
-    a = aggregate(theta, [ModelUpdate(d)], [0.7], lr_server=0.5)
-    b = aggregate(theta, [ModelUpdate(50.0 * d)], [0.7], lr_server=0.5)
+    a = aggregate(theta, [d], [0.7], lr_server=0.5)
+    b = aggregate(theta, [50.0 * d], [0.7], lr_server=0.5)
     assert np.max(np.abs(a.flat - b.flat)) < 1e-12
