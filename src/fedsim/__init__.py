@@ -1,7 +1,7 @@
 """Deterministic federated-learning simulator with a distribution-aware backdoor defense."""
 
 from .config import SimConfig, apply_overrides, load_config
-from .data import LabeledDataset, SufficiencyMatrix, TriggerPattern
+from .data import LabeledDataset, TriggerPattern
 from .harness import ExperimentResult, RoundRecord, evaluate, run_experiment, select_clients
 from .model import ModelParams, init_model, local_train
 
@@ -13,7 +13,6 @@ __all__ = [
     "ModelParams",
     "RoundRecord",
     "SimConfig",
-    "SufficiencyMatrix",
     "TriggerPattern",
     "apply_overrides",
     "evaluate",

@@ -40,6 +40,8 @@ def _mean_summary(per_seed: List[Dict[str, object]]) -> Dict[str, object]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.repeats < 1:
+        raise ConfigError("--repeats must be >= 1")
     cfg = load_config(args.config, _parse_overrides(args.override))
     if args.seed is not None:
         cfg = apply_overrides(cfg, {"seed": str(args.seed)})
@@ -60,6 +62,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.param == "seed":
+        raise ConfigError("sweep seeds with --seeds, not --param seed")
     cfg = load_config(args.config, _parse_overrides(args.override))
     key = args.param
     values = [v for v in args.values.split(",") if v != ""]

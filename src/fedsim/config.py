@@ -101,6 +101,12 @@ class SimConfig:
 
     def __post_init__(self):
         """Reject every bad value or combination before a run generates any data."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
+        if not all(math.isfinite(v) for v in self.trigger_values):
+            raise ConfigError("trigger_values must be finite")
         if not (0.0 < self.selection_ratio <= 1.0):
             raise ConfigError("selection_ratio must lie in (0, 1]")
         per_round = round(self.selection_ratio * self.n_clients)
@@ -108,11 +114,15 @@ class SimConfig:
             raise ConfigError("selection must cover at least two clients per round")
         if not (0 <= self.num_malicious <= self.n_clients):
             raise ConfigError("num_malicious must lie in [0, n_clients]")
-        for name in ("rounds", "epochs", "batch_size", "indicator_obs_cap", "boost", "dba_parts"):
+        for name in ("rounds", "epochs", "batch_size", "indicator_obs_cap", "boost", "dba_parts",
+                     "per_class", "test_per_class", "aux_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if any(width < 1 for width in self.hidden_dims):
             raise ConfigError("every hidden_dims width must be >= 1")
+        if self.aggregator == "clustervote" and not self.hidden_dims:
+            raise ConfigError("clustervote needs hidden_dims: label inference reads a ReLU "
+                              "penultimate layer")
         if not (0.0 <= self.noniid_p <= 1.0):
             raise ConfigError("noniid_p must lie in [0, 1]")
         if self.shards % self.n_clients != 0:
@@ -147,8 +157,10 @@ class SimConfig:
             raise ConfigError("fltrust and representation voting need aux_classes >= 1")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ConfigError(f"unknown threshold_mode {self.threshold_mode!r}")
-        if not math.isfinite(self.beta):
-            raise ConfigError("beta must be finite")
+        if self.lambda_clean <= 0:
+            raise ConfigError("lambda_clean must be > 0")
+        if self.stealth_rho < 0:
+            raise ConfigError("stealth_rho must be >= 0")
         if not (0 <= self.poison_count <= self.pool_size):
             raise ConfigError("poison_count must lie in [0, pool_size]")
         if any(not 0 <= i < self.input_dim for i in self.trigger_indices):

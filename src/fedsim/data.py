@@ -97,27 +97,6 @@ class TriggerPattern:
         )
 
 
-@dataclass
-class SufficiencyMatrix:
-    """Per-(class, client) bit: does the client hold more than tau records?"""
-
-    A: np.ndarray
-    tau: int
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.uint8)
-        if self.A.ndim != 2:
-            raise ShapeError("sufficiency matrix must be 2-D")
-
-    @property
-    def num_classes(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def num_clients(self) -> int:
-        return self.A.shape[1]
-
-
 def class_means(m: int, r_in: int, seed: int) -> np.ndarray:
     """Seeded random orthonormal class means scaled to pairwise distance MEAN_SEPARATION.
 
@@ -211,8 +190,8 @@ def partition_noniid(
     return [data.subset(np.concatenate(parts)) for parts in assign]
 
 
-def ground_truth_abstract(clients: Sequence[LabeledDataset], tau: int) -> SufficiencyMatrix:
-    """Bit matrix A with A[i, j] = 1 iff client j holds more than tau class-i records."""
+def ground_truth_abstract(clients: Sequence[LabeledDataset], tau: int) -> np.ndarray:
+    """uint8 bit matrix A with A[i, j] = 1 iff client j holds more than tau class-i records."""
     if tau < 0:
         raise ConfigError("tau must be >= 0")
     if not clients:
@@ -221,7 +200,7 @@ def ground_truth_abstract(clients: Sequence[LabeledDataset], tau: int) -> Suffic
     A = np.zeros((m, len(clients)), dtype=np.uint8)
     for j, ds in enumerate(clients):
         A[:, j] = (ds.class_counts() > tau).astype(np.uint8)
-    return SufficiencyMatrix(A, tau)
+    return A
 
 
 def concat_datasets(parts: Sequence[LabeledDataset]) -> LabeledDataset:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -19,7 +19,6 @@ from . import attacks, baselines, clustering, inference, trust
 from .config import SimConfig
 from .data import (
     LabeledDataset,
-    SufficiencyMatrix,
     TriggerPattern,
     concat_datasets,
     class_means,
@@ -83,10 +82,10 @@ class RoundRecord:
 
     The fields after `selected` default to empty: only the cluster-vote
     defense fills in its own, and accuracy and ASR are set once the round
-    has been evaluated.
+    has been evaluated. Each field is one rounds-CSV column, in field order.
     """
 
-    round_index: int
+    round: int
     selected: List[int]
     discarded: List[int] = field(default_factory=list)
     accuracy: float = 0.0
@@ -106,48 +105,29 @@ class RoundRecord:
     indicators: List[str] = field(default_factory=list)
     flagged: bool = False
 
-    CSV_HEADER = (
-        "round,selected,discarded,accuracy,asr,asr_defined,inference_accuracy,"
-        "per_client_cap,cluster_size_cap,cluster_sizes,memberships,votes,"
-        "immediate,accumulated,malicious_trust,honest_trust,inferred_columns,"
-        "indicators,flagged"
-    )
-
     def to_csv_row(self) -> str:
-        def join(values, fmt=str):
-            return ";".join(fmt(v) for v in values)
+        return ",".join(_csv_cell(getattr(self, f.name)) for f in fields(self))
 
-        def opt(value):
-            return "" if value is None else repr(value)
 
-        return ",".join([
-            str(self.round_index),
-            join(self.selected),
-            join(self.discarded),
-            repr(self.accuracy),
-            repr(self.asr),
-            str(int(self.asr_defined)),
-            opt(self.inference_accuracy),
-            "" if self.per_client_cap is None else str(self.per_client_cap),
-            "" if self.cluster_size_cap is None else str(self.cluster_size_cap),
-            join(self.cluster_sizes),
-            join(self.memberships),
-            join(self.votes),
-            join(self.immediate, repr),
-            join(self.accumulated, repr),
-            opt(self.malicious_trust),
-            opt(self.honest_trust),
-            join(self.inferred_columns),
-            join(self.indicators),
-            str(int(self.flagged)),
-        ])
+def _csv_cell(value: object) -> str:
+    """None is empty, a bool is 0 or 1, a list is ;-joined, anything else is str()."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, list):
+        return ";".join(str(v) for v in value)
+    return str(value)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(RoundRecord))
 
 
 @dataclass
 class ExperimentResult:
     config: SimConfig
     records: List[RoundRecord]
-    ground_truth: SufficiencyMatrix
+    ground_truth: np.ndarray
     final_params: ModelParams
 
     def summary(self) -> Dict[str, object]:
@@ -173,7 +153,7 @@ def write_csv(records: Sequence[RoundRecord], path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
-        fh.write(RoundRecord.CSV_HEADER + "\n")
+        fh.write(CSV_HEADER + "\n")
         for rec in records:
             fh.write(rec.to_csv_row() + "\n")
 
@@ -302,7 +282,7 @@ class ClusterVote:
     inferred sufficiency columns as the run progresses.
     """
 
-    def __init__(self, cfg: SimConfig, ground_truth: SufficiencyMatrix, aux: LabeledDataset):
+    def __init__(self, cfg: SimConfig, ground_truth: np.ndarray, aux: LabeledDataset):
         self.cfg = cfg
         self.ground_truth = ground_truth
         # representation features use one fixed auxiliary class
@@ -342,7 +322,7 @@ class ClusterVote:
         smoothed = [self.observe(cid, u) for cid, u in zip(selected, indicators)]
         A_hat = np.stack([inference.infer_column(u, cfg.threshold_mode, cfg.beta)
                           for u in smoothed], axis=1)
-        inf_acc = inference.distribution_accuracy(self.ground_truth.A[:, selected], A_hat)
+        inf_acc = inference.distribution_accuracy(self.ground_truth[:, selected], A_hat)
 
         if A_hat.sum() > 0:
             thresholds = clustering.compute_thresholds(A_hat)
@@ -380,7 +360,7 @@ class ClusterVote:
         mal_idx = [i for i, cid in enumerate(selected) if cid in self.malicious]
         hon_idx = [i for i, cid in enumerate(selected) if cid not in self.malicious]
         record = RoundRecord(
-            round_index=t,
+            round=t,
             selected=list(selected),
             discarded=sorted(discard),
             inference_accuracy=inf_acc,

@@ -10,7 +10,7 @@ deterministic given (params, data, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -95,6 +95,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _forward(
+    layers: List[Tuple[np.ndarray, np.ndarray]], x: np.ndarray
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Logits plus the input of every layer: x, then each hidden ReLU output."""
+    acts = [x]
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+    w_last, b_last = layers[-1]
+    return acts[-1] @ w_last.T + b_last, acts
+
+
 def forward(params: ModelParams, inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Run the network; returns (logits, penultimate activation).
 
@@ -107,13 +118,8 @@ def forward(params: ModelParams, inputs: np.ndarray) -> Tuple[np.ndarray, np.nda
             f"inputs of width {x.shape[-1] if x.ndim else '?'} do not match "
             f"first layer input width {params.shapes[0][1]}"
         )
-    layers = params.layers()
-    a = x
-    for w, b in layers[:-1]:
-        a = np.maximum(a @ w.T + b, 0.0)
-    w_last, b_last = layers[-1]
-    logits = a @ w_last.T + b_last
-    return logits, a
+    logits, acts = _forward(params.layers(), x)
+    return logits, acts[-1]
 
 
 def loss_and_grad(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -137,17 +143,7 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tuple[fl
     if x.shape[1] != params.shapes[0][1]:
         raise ShapeError("batch width does not match the model input width")
     layers = params.layers()
-    # forward, caching pre-activations
-    acts = [x]
-    pre = []
-    a = x
-    for w, b in layers[:-1]:
-        z = a @ w.T + b
-        pre.append(z)
-        a = np.maximum(z, 0.0)
-        acts.append(a)
-    w_last, b_last = layers[-1]
-    logits = a @ w_last.T + b_last
+    logits, acts = _forward(layers, x)
 
     probs = softmax(logits)
     # clip only inside the log; the gradient uses the exact probabilities
@@ -163,7 +159,8 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tuple[fl
         np.matmul(dz.T, acts[li], out=gw)
         dz.sum(axis=0, out=gb)
         if li > 0:
-            dz = (dz @ layers[li][0]) * (pre[li - 1] > 0.0)
+            # a ReLU output is positive exactly where its pre-activation is
+            dz = (dz @ layers[li][0]) * (acts[li] > 0.0)
     return loss, grad
 
 
@@ -181,15 +178,12 @@ def local_train(
     lr: float,
     batch_size: int,
     seed: int,
-    on_step: Optional[Callable[[int, ModelParams, np.ndarray], None]] = None,
 ) -> np.ndarray:
     """Plain minibatch SGD (no momentum); returns delta = theta_after - theta_before.
 
     Batches are drawn by a seeded per-epoch shuffle. An epoch that fits in a
     single batch skips the shuffle, so the one-batch case reduces exactly to
-    one gradient step on the data as given. `on_step` (step index, current
-    params, flat gradient) is invoked after each gradient evaluation; it is
-    used by tests to audit the accumulated-gradient identity.
+    one gradient step on the data as given.
     """
     if epochs < 1:
         raise ConfigError("epochs must be >= 1")
@@ -202,7 +196,6 @@ def local_train(
     # the update is accumulated directly so one step yields -lr*grad exactly
     delta = np.zeros(params.dim)
     n = data.size
-    step = 0
     for _ in range(epochs):
         if batch_size >= n:
             order = np.arange(n)
@@ -211,11 +204,8 @@ def local_train(
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             _, grad = loss_and_grad(theta, data.samples[idx], data.labels[idx])
-            if on_step is not None:
-                on_step(step, theta, grad)
             delta -= lr * grad
             theta.flat = params.flat + delta
-            step += 1
     return finite_update(delta)
 
 

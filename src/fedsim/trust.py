@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Set
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .model import ModelParams
+from .model import ModelParams, softmax
 
 ZERO_NORM_EPS = 1e-12
 
@@ -83,14 +83,6 @@ def cluster_votes(
     return votes
 
 
-def immediate_trust(K: np.ndarray) -> np.ndarray:
-    """Softmax of vote counts; sums to one over the round's clients."""
-    K = np.asarray(K, dtype=np.float64)
-    z = K - K.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 @dataclass
 class TrustLedger:
     """Per-client trust state carried across rounds.
@@ -112,32 +104,20 @@ class TrustLedger:
         self.accumulated_raw = np.zeros(self.num_clients)
 
     def update(self, selected: Sequence[int], K_selected: np.ndarray) -> np.ndarray:
-        """Record a round's votes; returns normalized accumulated trust per selected client."""
+        """Record a round's votes; returns normalized accumulated trust per selected client.
+
+        Immediate trust T is the softmax of the vote counts; for clients
+        selected in every round the result normalizes sum_s gamma^(t-s) T^s.
+        """
         selected = list(selected)
         if len(selected) != len(K_selected):
             raise ShapeError("selected ids and vote counts disagree on length")
-        T_now = immediate_trust(np.asarray(K_selected))
+        T_now = softmax(np.asarray(K_selected, dtype=np.float64))
         self.immediate = {cid: float(t) for cid, t in zip(selected, T_now)}
-        return accumulate_trust(self, T_now, selected)
-
-
-def accumulate_trust(
-    ledger: TrustLedger, T_now: np.ndarray, selected: Sequence[int]
-) -> np.ndarray:
-    """Discounted running trust for the selected clients, normalized to sum to one.
-
-    Equivalent to normalizing sum_s gamma^(t-s) T^s for clients selected in
-    every round; unselected clients keep their stored value untouched.
-    """
-    selected = list(selected)
-    T_now = np.asarray(T_now, dtype=np.float64)
-    if len(selected) != T_now.size:
-        raise ShapeError("selected ids and trust values disagree on length")
-    for cid, t in zip(selected, T_now):
-        ledger.accumulated_raw[cid] = ledger.gamma * ledger.accumulated_raw[cid] + t
-    raw = ledger.accumulated_raw[selected]
-    total = raw.sum()
-    return raw / total if total > 0 else np.full(len(selected), 1.0 / len(selected))
+        self.accumulated_raw[selected] = self.gamma * self.accumulated_raw[selected] + T_now
+        raw = self.accumulated_raw[selected]
+        total = raw.sum()
+        return raw / total if total > 0 else np.full(len(selected), 1.0 / len(selected))
 
 
 def median_discard(

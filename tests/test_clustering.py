@@ -74,7 +74,7 @@ def test_thresholds_boundary_client_counts_full_share():
 def test_thresholds_match_independent_formula_on_desk_partition():
     ds = gen_dataset(10, 32, 1000, seed=1)
     parts = partition_noniid(ds, 50, p=0.4, shards=250, seed=7)
-    A = ground_truth_abstract(parts, tau=20).A
+    A = ground_truth_abstract(parts, tau=20)
     th = compute_thresholds(A)
     # independent evaluation, written from the formula rather than the code
     m_j = [int(A[:, j].sum()) for j in range(50) if A[:, j].sum() > 0]

@@ -123,6 +123,30 @@ def test_training_and_evaluation_sizes_validated(kw, field):
         SimConfig(**kw)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(lr_client=NAN), "^lr_client must be finite"),
+    (dict(lr_server=NAN), "^lr_server must be finite"),
+    (dict(boost=INF), "^boost must be finite"),
+    (dict(lambda_clean=INF), "^lambda_clean must be finite"),
+    (dict(stealth_rho=NAN), "^stealth_rho must be finite"),
+    (dict(trigger_values=(3.0, NAN, 3.0, -3.0)), "^trigger_values must be finite"),
+    (dict(lambda_clean=0.0), "^lambda_clean must be > 0"),
+    (dict(stealth_rho=-5.0), "^stealth_rho must be >= 0"),
+    (dict(per_class=0), "^per_class must be >= 1"),
+    (dict(test_per_class=0), "^test_per_class must be >= 1"),
+    (dict(aux_per_class=0), "^aux_per_class must be >= 1"),
+    (dict(hidden_dims=()), "^clustervote needs hidden_dims"),
+])
+def test_config_errors_name_the_field(kw, message):
+    # each of these used to pass SimConfig and fail late, name another
+    # field, or quietly change what the run does
+    with pytest.raises(ConfigError, match=message):
+        SimConfig(**kw)
+
+
 def test_budget_edges_accepted():
     SimConfig(aggregator="krum", agg_f=3)    # 10 per round = 2f+3 + 1
     SimConfig(aggregator="trim", agg_f=4)    # 10 per round > 2f = 8
@@ -133,3 +157,6 @@ def test_budget_edges_accepted():
     SimConfig(base_count=1)
     SimConfig(base_count=2000)
     SimConfig(epochs=1, batch_size=1, hidden_dims=(1,))
+    SimConfig(per_class=1, test_per_class=1, aux_per_class=1, base_count=1)
+    SimConfig(aggregator="fedavg", hidden_dims=())
+    SimConfig(stealth_rho=0.0, lambda_clean=1e-9)

@@ -11,6 +11,7 @@ from fedsim.config import SimConfig
 from fedsim.data import TriggerPattern, class_means, gen_dataset
 from fedsim.errors import ConfigError, ShapeError, TrainingError
 from fedsim.harness import (
+    CSV_HEADER,
     RoundRecord,
     evaluate,
     run_and_write,
@@ -172,8 +173,22 @@ def test_csv_write_and_header(tmp_path):
     path = tmp_path / "rounds.csv"
     write_csv(res.records, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == RoundRecord.CSV_HEADER
+    assert lines[0] == (
+        "round,selected,discarded,accuracy,asr,asr_defined,inference_accuracy,"
+        "per_client_cap,cluster_size_cap,cluster_sizes,memberships,votes,"
+        "immediate,accumulated,malicious_trust,honest_trust,inferred_columns,"
+        "indicators,flagged"
+    )
+    assert lines[0] == CSV_HEADER
     assert len(lines) == 3
+
+
+def test_csv_row_cell_rules():
+    # None is empty, a bool is 0/1, a list is ;-joined, anything else is str()
+    rec = RoundRecord(3, [4, 7], accuracy=0.5, asr_defined=False, per_client_cap=2,
+                      immediate=[0.25, 0.1], malicious_trust=None,
+                      inferred_columns=["01", "10"], flagged=True)
+    assert rec.to_csv_row() == "3,4;7,,0.5,0.0,0,,2,,,,,0.25;0.1,,,,01;10,,1"
 
 
 def test_run_and_write_outputs(tmp_path):
@@ -229,6 +244,22 @@ def test_cli_zero_batch_size_is_one_config_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error: ") and "batch_size" in err[0]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--param", "seed", "--values", "3,4"], "--seeds"),
+    (["run", "--repeats", "0"], "--repeats"),
+])
+def test_cli_bad_arguments_are_one_config_error(tmp_path, capsys, monkeypatch, argv, flag):
+    # a seed sweep used to run the config's own seed under every label
+    from fedsim import cli
+    def no_run(*args, **kw):
+        raise AssertionError("ran an experiment")
+    monkeypatch.setattr(cli, "run_and_write", no_run)
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: ") and flag in err[0]
 
 
 def test_cli_bad_config_fails_before_training(tmp_path, monkeypatch):

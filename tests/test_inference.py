@@ -43,17 +43,22 @@ def test_recover_rejects_bad_lr():
         recover_last_layer_gradient(np.zeros(10), [(2, 3), (1, 2)], lr=0.0)
 
 
-def test_recover_matches_instrumented_loop():
-    # oracle: capture every per-step last-layer gradient via the hook and sum
+def test_recover_matches_instrumented_loop(monkeypatch):
+    # oracle: capture every per-step last-layer gradient and sum
+    from fedsim import model as model_module
     rng = np.random.default_rng(1)
     model = init_model([16, 12, 6], seed=2)
     batch = LabeledDataset(rng.standard_normal((40, 16)), rng.integers(0, 6, size=40), 6)
     captured = []
-    upd = local_train(
-        model, batch, epochs=5, lr=0.05, batch_size=8, seed=3,
-        on_step=lambda step, theta, grad: captured.append(
-            last_layer_weight_block(grad, model.shapes).copy()),
-    )
+
+    def recording(params, x, y):
+        loss, grad = loss_and_grad(params, x, y)
+        captured.append(last_layer_weight_block(grad, model.shapes).copy())
+        return loss, grad
+
+    monkeypatch.setattr(model_module, "loss_and_grad", recording)
+    upd = local_train(model, batch, epochs=5, lr=0.05, batch_size=8, seed=3)
+    assert len(captured) == 25  # 5 epochs x 5 batches of 8
     accumulated = np.sum(captured, axis=0)
     G = recover_last_layer_gradient(upd, model.shapes, lr=0.05)
     assert np.max(np.abs(G - accumulated)) < 1e-8

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from fedsim.errors import ConfigError, ShapeError
-from fedsim.model import ModelParams, param_dim
+from fedsim.model import ModelParams, param_dim, softmax
 from fedsim.trust import (
     TrustLedger,
-    accumulate_trust,
     aggregate,
     cluster_votes,
     cosine_similarity,
-    immediate_trust,
     median_discard,
     similarity_matrix,
 )
@@ -148,9 +146,16 @@ def test_votes_validation():
         cluster_votes(np.ones((1, 3), dtype=np.uint8), [np.ones(2)], k_vote=1)
 
 
+def first_round_trust(votes):
+    """The ledger's immediate trust for one first round of the given votes."""
+    ledger = TrustLedger(num_clients=len(votes))
+    ledger.update(range(len(votes)), np.asarray(votes))
+    return np.array([ledger.immediate[cid] for cid in range(len(votes))])
+
+
 def test_immediate_trust_uniform_and_two_point():
-    assert np.allclose(immediate_trust(np.full(8, 3)), 1 / 8)
-    t = immediate_trust(np.array([1, 0]))
+    assert np.allclose(first_round_trust(np.full(8, 3)), 1 / 8)
+    t = first_round_trust(np.array([1, 0]))
     e = math.e
     assert t[0] == pytest.approx(e / (e + 1), abs=1e-12)
     assert t[1] == pytest.approx(1 / (e + 1), abs=1e-12)
@@ -159,7 +164,7 @@ def test_immediate_trust_uniform_and_two_point():
 def test_immediate_trust_matches_naive_softmax():
     rng = np.random.default_rng(6)
     K = rng.integers(0, 20, size=10)
-    t = immediate_trust(K)
+    t = first_round_trust(K)
     naive = np.array([math.exp(k) for k in K])
     naive /= naive.sum()
     assert np.max(np.abs(t - naive)) < 1e-12
@@ -168,22 +173,22 @@ def test_immediate_trust_matches_naive_softmax():
 
 def test_immediate_trust_shift_invariance():
     K = np.array([3, 5, 1, 0])
-    assert np.allclose(immediate_trust(K), immediate_trust(K + 7), atol=1e-12)
+    assert np.allclose(first_round_trust(K), first_round_trust(K + 7), atol=1e-12)
 
 
 def test_accumulate_first_round_equals_immediate():
     ledger = TrustLedger(num_clients=5, gamma=0.1)
-    T = immediate_trust(np.array([2, 1, 0]))
-    out = accumulate_trust(ledger, T, [0, 2, 4])
-    assert np.allclose(out, T, atol=1e-12)
+    out = ledger.update([0, 2, 4], np.array([2, 1, 0]))
+    assert np.allclose(out, softmax(np.array([2.0, 1.0, 0.0])), atol=1e-12)
+    assert np.allclose(out, [ledger.immediate[c] for c in (0, 2, 4)], atol=1e-12)
 
 
 def test_accumulate_gamma_to_zero_limit():
     ledger = TrustLedger(num_clients=3, gamma=1e-15)
     sel = [0, 1, 2]
-    accumulate_trust(ledger, np.array([0.7, 0.2, 0.1]), sel)
-    out = accumulate_trust(ledger, np.array([0.1, 0.6, 0.3]), sel)
-    assert np.allclose(out, [0.1, 0.6, 0.3], atol=1e-9)
+    ledger.update(sel, np.array([4, 1, 0]))
+    out = ledger.update(sel, np.array([0, 3, 2]))
+    assert np.allclose(out, softmax(np.array([0.0, 3.0, 2.0])), atol=1e-9)
 
 
 def test_accumulate_matches_closed_form_oracle():
@@ -191,22 +196,22 @@ def test_accumulate_matches_closed_form_oracle():
     ledger = TrustLedger(num_clients=4, gamma=gamma)
     sel = [0, 1, 2, 3]
     rounds = [
-        np.array([0.4, 0.3, 0.2, 0.1]),
-        np.array([0.1, 0.1, 0.4, 0.4]),
-        np.array([0.25, 0.25, 0.25, 0.25]),
+        np.array([4, 3, 2, 1]),
+        np.array([1, 1, 4, 4]),
+        np.array([2, 2, 2, 2]),
     ]
-    for T in rounds:
-        out = accumulate_trust(ledger, T, sel)
-    closed = sum(gamma ** (2 - s) * rounds[s] for s in range(3))
+    for votes in rounds:
+        out = ledger.update(sel, votes)
+    closed = sum(gamma ** (2 - s) * softmax(rounds[s].astype(float)) for s in range(3))
     closed = closed / closed.sum()
     assert np.max(np.abs(out - closed)) < 1e-12
 
 
 def test_accumulate_freezes_unselected():
     ledger = TrustLedger(num_clients=4, gamma=0.1)
-    accumulate_trust(ledger, np.array([0.5, 0.5]), [0, 1])
+    ledger.update([0, 1], np.array([1, 1]))
     stored = ledger.accumulated_raw[1]
-    accumulate_trust(ledger, np.array([0.9, 0.1]), [0, 2])
+    ledger.update([0, 2], np.array([3, 0]))
     assert ledger.accumulated_raw[1] == stored
 
 
