@@ -16,15 +16,13 @@ import numpy as np
 
 from .config import SimConfig
 from .data import LabeledDataset, TriggerPattern, concat_datasets
-from .errors import ConfigError, TrainingError
+from .errors import TrainingError
 from .inference import class_indicator, recover_last_layer_gradient
 from .model import ModelParams, Shapes, finite_update, last_layer_weight_block, local_train, loss_and_grad
 
 
 def make_poison_pool(base: LabeledDataset, trig: TriggerPattern) -> LabeledDataset:
     """Triggered copies of every base sample, all relabeled to the target."""
-    if base.size < 1:
-        raise ConfigError("poison pool needs at least one base sample")
     return LabeledDataset(
         trig.apply(base.samples),
         np.full(base.size, trig.target_label, dtype=np.int64),
@@ -33,8 +31,6 @@ def make_poison_pool(base: LabeledDataset, trig: TriggerPattern) -> LabeledDatas
 
 
 def _training_set(clean: LabeledDataset, poison: LabeledDataset, count: int) -> LabeledDataset:
-    if count > poison.size:
-        raise ConfigError(f"poison_count {count} exceeds pool size {poison.size}")
     return concat_datasets([clean, poison.subset(np.arange(count))])
 
 
@@ -129,8 +125,6 @@ def _weighted_grad(
 
 def sybil_updates(leader: np.ndarray, colluders: Sequence[int]) -> List[np.ndarray]:
     """One update per selected colluder, all byte-identical to the leader's."""
-    if not colluders:
-        raise ConfigError("sybil round needs at least one selected malicious client")
     return [leader.copy() for _ in colluders]
 
 

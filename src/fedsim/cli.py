@@ -67,15 +67,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _parse_overrides(args.override))
     key = args.param
     values = [v for v in args.values.split(",") if v != ""]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
+    if not values:
+        raise ConfigError(f"--values names no value: {args.values!r}")
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+    # every run's config is built, and so checked, before the first run starts
+    grid = [(value, [apply_overrides(cfg, {key: value, "seed": str(seed)}) for seed in seeds])
+            for value in values]
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     rows = []
-    for value in values:
-        per_seed = []
-        for seed in seeds:
-            run_cfg = apply_overrides(cfg, {key: value, "seed": str(seed)})
-            sub = out_dir / f"{key}_{value}"
-            per_seed.append(run_and_write(run_cfg, sub))
+    for value, run_cfgs in grid:
+        per_seed = [run_and_write(run_cfg, out_dir / f"{key}_{value}") for run_cfg in run_cfgs]
         mean = _mean_summary(per_seed)
         mean[key] = value
         rows.append(mean)

@@ -115,9 +115,14 @@ class SimConfig:
         if not (0 <= self.num_malicious <= self.n_clients):
             raise ConfigError("num_malicious must lie in [0, n_clients]")
         for name in ("rounds", "epochs", "batch_size", "indicator_obs_cap", "boost", "dba_parts",
-                     "per_class", "test_per_class", "aux_per_class"):
+                     "per_class", "test_per_class", "aux_per_class", "pool_size", "shards"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("seed", "tau"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if self.num_classes < 2:
+            raise ConfigError("num_classes must be >= 2")
         if any(width < 1 for width in self.hidden_dims):
             raise ConfigError("every hidden_dims width must be >= 1")
         if self.aggregator == "clustervote" and not self.hidden_dims:
@@ -165,10 +170,25 @@ class SimConfig:
             raise ConfigError("poison_count must lie in [0, pool_size]")
         if any(not 0 <= i < self.input_dim for i in self.trigger_indices):
             raise ConfigError("trigger_indices must lie in [0, input_dim)")
+        if len(set(self.trigger_indices)) != len(self.trigger_indices):
+            raise ConfigError("trigger_indices must be distinct")
+        if len(self.trigger_values) != len(self.trigger_indices):
+            raise ConfigError("trigger_values must have one value per trigger index")
+        if self.attack == "dba" and self.dba_parts > len(self.trigger_indices):
+            raise ConfigError(f"dba_parts ({self.dba_parts}) must be at most the "
+                              f"{len(self.trigger_indices)} trigger_indices")
+        if not 0 <= self.trigger_target < self.num_classes:
+            raise ConfigError("trigger_target must lie in [0, num_classes)")
+        if self.aux_classes > self.num_classes:
+            raise ConfigError("aux_classes must be at most num_classes")
         test_size = self.num_classes * self.test_per_class
         if not 1 <= self.base_count <= test_size:
             raise ConfigError(f"base_count must lie in [1, num_classes * test_per_class] "
                               f"= [1, {test_size}]")
+        # what load_config would cut from the line: a comment, blanks, a line break
+        out_dir = self.out_dir
+        if "#" in out_dir or out_dir != out_dir.strip() or len(out_dir.splitlines()) > 1:
+            raise ConfigError("out_dir must be one line with no '#' and no surrounding whitespace")
 
     @property
     def layer_dims(self) -> Tuple[int, ...]:

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 # pairwise distance between class means, in units of the noise sigma
 MEAN_SEPARATION = 4.5
@@ -64,32 +64,15 @@ class TriggerPattern:
     values: Tuple[float, ...]
     target_label: int
 
-    def __post_init__(self):
-        self.indices = tuple(int(i) for i in self.indices)
-        self.values = tuple(float(v) for v in self.values)
-        if len(self.indices) != len(self.values):
-            raise ConfigError("trigger indices and values must have equal length")
-        if len(set(self.indices)) != len(self.indices):
-            raise ConfigError("trigger indices must be distinct")
-        if any(i < 0 for i in self.indices):
-            raise ConfigError("trigger indices must be non-negative")
-
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Copy of `samples` with the trigger values written in place."""
         out = np.array(samples, dtype=np.float64, copy=True)
-        if self.indices and max(self.indices) >= out.shape[1]:
-            raise ConfigError("trigger index beyond feature width")
         out[:, list(self.indices)] = list(self.values)
         return out
 
     def part(self, parts: int, index: int) -> "TriggerPattern":
         """Contiguous sub-pattern `index` of `parts` (for distributed triggers)."""
-        if parts < 1 or not (0 <= index < parts):
-            raise ConfigError("invalid trigger part request")
-        chunks = np.array_split(np.arange(len(self.indices)), parts)
-        picked = chunks[index]
-        if picked.size == 0:
-            raise ConfigError(f"trigger part {index} of {parts} is empty")
+        picked = np.array_split(np.arange(len(self.indices)), parts)[index]
         return TriggerPattern(
             tuple(self.indices[i] for i in picked),
             tuple(self.values[i] for i in picked),
@@ -107,8 +90,6 @@ def class_means(m: int, r_in: int, seed: int) -> np.ndarray:
     for every class (pure background noise dimensions).
     """
     live = r_in - QUIET_DIMS
-    if m > live:
-        raise ConfigError(f"cannot place {m} orthonormal means in {live} live dimensions")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((live, m)))
     mu = np.zeros((m, r_in))
@@ -128,10 +109,6 @@ def gen_dataset(
     Passing `means` reuses a fixed set of class centers so train/test/aux
     splits drawn with different seeds describe the same task.
     """
-    if m < 2:
-        raise ConfigError("need at least two classes")
-    if per_class < 1:
-        raise ConfigError("per_class must be >= 1")
     if means is None:
         means = class_means(m, r_in, seed)
     means = np.asarray(means, dtype=np.float64)
@@ -153,10 +130,6 @@ def partition_noniid(
     sort by label; each client receives shards/n whole shards. The union of
     the client datasets is exactly the input multiset.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ConfigError("non-IID degree p must be in [0, 1]")
-    if shards % n != 0:
-        raise ConfigError(f"shards ({shards}) must be divisible by n ({n})")
     rng = np.random.default_rng(seed)
     N = data.size
 
@@ -192,10 +165,6 @@ def partition_noniid(
 
 def ground_truth_abstract(clients: Sequence[LabeledDataset], tau: int) -> np.ndarray:
     """uint8 bit matrix A with A[i, j] = 1 iff client j holds more than tau class-i records."""
-    if tau < 0:
-        raise ConfigError("tau must be >= 0")
-    if not clients:
-        raise ConfigError("need at least one client dataset")
     m = clients[0].num_classes
     A = np.zeros((m, len(clients)), dtype=np.uint8)
     for j, ds in enumerate(clients):
@@ -205,8 +174,6 @@ def ground_truth_abstract(clients: Sequence[LabeledDataset], tau: int) -> np.nda
 
 def concat_datasets(parts: Sequence[LabeledDataset]) -> LabeledDataset:
     """Stack datasets that share a class count."""
-    if not parts:
-        raise ConfigError("nothing to concatenate")
     m = parts[0].num_classes
     if any(ds.num_classes != m for ds in parts):
         raise ShapeError("datasets disagree on class count")

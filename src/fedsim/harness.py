@@ -41,8 +41,6 @@ def derive_seed(*parts: int) -> int:
 def select_clients(n: int, ratio: float, round_index: int, seed: int) -> List[int]:
     """Uniform sample without replacement of round(ratio*n) clients, per (seed, round)."""
     count = int(round(ratio * n))
-    if count < 2:
-        raise ConfigError("selection must cover at least two clients")
     rng = np.random.default_rng([seed, _SELECT, round_index])
     return sorted(int(c) for c in rng.choice(n, size=count, replace=False))
 
@@ -61,8 +59,6 @@ def evaluate(
     that flip to the target once the trigger is applied. With no clean-
     correct base records the ASR is reported as 0 and flagged undefined.
     """
-    if base_count < 1 or base_count > test.size:
-        raise ConfigError("base_count must lie in [1, len(test)]")
     logits, _ = forward(params, test.samples)
     pred = logits.argmax(axis=1)
     accuracy = float(np.mean(pred == test.labels))
@@ -255,7 +251,7 @@ class _Clients:
                     updates.update(zip(colluders, attacks.sybil_updates(leader, colluders)))
                 else:
                     updates[cid] = self._attack(cfg.attack, theta, cid, t)
-            except (ShapeError, TrainingError, ConfigError) as exc:
+            except (ShapeError, TrainingError) as exc:
                 raise type(exc)(f"round {t}, client {cid}: {exc}") from exc
         return [updates[cid] for cid in selected]
 
@@ -324,14 +320,9 @@ class ClusterVote:
                           for u in smoothed], axis=1)
         inf_acc = inference.distribution_accuracy(self.ground_truth[:, selected], A_hat)
 
-        if A_hat.sum() > 0:
-            thresholds = clustering.compute_thresholds(A_hat)
-            x = clustering.greedy_cluster(A_hat, thresholds)
-        else:
-            # degenerate round: nobody claims any class, nobody can vote
-            thresholds = clustering.ClusterThresholds(1, 1)
-            x = np.zeros_like(A_hat)
-        k_vote = max(1, thresholds.per_cluster // 2)
+        per_client, per_cluster = clustering.compute_thresholds(A_hat)
+        x = clustering.greedy_cluster(A_hat, (per_client, per_cluster))
+        k_vote = max(1, per_cluster // 2)
 
         votes = np.zeros(len(selected), dtype=np.int64)
         if "gradient" in cfg.voting_metrics:
@@ -364,8 +355,8 @@ class ClusterVote:
             selected=list(selected),
             discarded=sorted(discard),
             inference_accuracy=inf_acc,
-            per_client_cap=thresholds.per_client,
-            cluster_size_cap=thresholds.per_cluster,
+            per_client_cap=per_client,
+            cluster_size_cap=per_cluster,
             cluster_sizes=list(sizes),
             memberships=list(memberships),
             votes=list(int(v) for v in votes),

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .model import last_layer_weight_block
 
 
@@ -27,8 +27,6 @@ def recover_last_layer_gradient(
     delta = -lr * sum of per-step gradients, so the accumulated gradient is
     -delta_block / lr. The bias block is ignored.
     """
-    if lr <= 0:
-        raise ConfigError("learning rate must be positive to recover gradients")
     return -last_layer_weight_block(delta, shapes) / lr
 
 
@@ -53,8 +51,6 @@ def infer_column(u: np.ndarray, threshold_mode: str, beta: float) -> np.ndarray:
         beta = u.mean()
     elif threshold_mode == "mean_plus_std":
         beta = u.mean() + u.std()
-    elif threshold_mode != "absolute":
-        raise ConfigError(f"unknown threshold mode {threshold_mode!r}")
     return (u > beta).astype(np.uint8)
 
 

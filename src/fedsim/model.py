@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ConfigError, ShapeError, TrainingError
+from .errors import ShapeError, TrainingError
 
 Shapes = List[Tuple[int, int]]
 
@@ -73,8 +73,6 @@ def init_model(layer_dims: Sequence[int], seed: int, zero_last: bool = False) ->
     exactly uniform -- useful when the server reads class information out
     of early updates.
     """
-    if len(layer_dims) < 2:
-        raise ConfigError("layer_dims needs at least an input and an output width")
     rng = np.random.default_rng(seed)
     shapes = [(layer_dims[i + 1], layer_dims[i]) for i in range(len(layer_dims) - 1)]
     parts = []
@@ -183,12 +181,9 @@ def local_train(
 
     Batches are drawn by a seeded per-epoch shuffle. An epoch that fits in a
     single batch skips the shuffle, so the one-batch case reduces exactly to
-    one gradient step on the data as given.
+    one gradient step on the data as given. epochs, lr and batch_size are
+    taken as SimConfig checked them; only the data is checked here.
     """
-    if epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    if lr < 0:
-        raise ConfigError("learning rate must be >= 0")
     if data.size < 1:
         raise TrainingError("cannot train on an empty dataset")
     rng = np.random.default_rng(seed)

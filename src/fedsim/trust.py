@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Set
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .model import ModelParams, softmax
 
 ZERO_NORM_EPS = 1e-12
@@ -61,8 +61,6 @@ def cluster_votes(
     lower column index. Clusters with fewer than two members cast no
     votes.
     """
-    if k_vote < 1:
-        raise ConfigError("k_vote must be >= 1")
     x = np.asarray(x, dtype=np.uint8)
     if x.ndim != 2 or x.shape[1] != len(vectors):
         raise ShapeError("assignment columns must match the vector list")
@@ -99,8 +97,6 @@ class TrustLedger:
     immediate: Dict[int, float] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise ConfigError("gamma must lie strictly between 0 and 1")
         self.accumulated_raw = np.zeros(self.num_clients)
 
     def update(self, selected: Sequence[int], K_selected: np.ndarray) -> np.ndarray:
@@ -153,8 +149,6 @@ def aggregate(
     """
     if len(updates) != len(trust):
         raise ShapeError("updates and trust weights disagree on length")
-    if any(t < 0 for t in trust):
-        raise ConfigError("trust weights must be >= 0")
     step = np.zeros_like(theta.flat)
     for upd, t in zip(updates, trust):
         norm = np.linalg.norm(upd)

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from fedsim.baselines import coordinate_median, fedavg, krum, trimmed_mean
-from fedsim.clustering import active_columns, compute_thresholds, greedy_cluster, objective_value
+from fedsim.clustering import active_columns, compute_thresholds, greedy_cluster
 from fedsim.config import SimConfig
 from fedsim.harness import run_experiment, write_csv
 from fedsim.model import init_model, loss_and_grad
@@ -190,10 +190,11 @@ def test_criterion_7_clustering_structure():
         if not active_columns(A).any():
             continue
         th = compute_thresholds(A)
-        greedy_removed = objective_value(A, greedy_cluster(A, th))
+        x = greedy_cluster(A, th)
+        ok = ok and bool(np.all(x <= A))
+        greedy_removed = int(A.sum()) - int(x.sum())
         act = active_columns(A)
-        opt_removed = int(A.sum()) - int(A[:, ~act].sum()) - exact_max_kept(
-            A[:, act], th.per_client, th.per_cluster)
+        opt_removed = int(A.sum()) - int(A[:, ~act].sum()) - exact_max_kept(A[:, act], *th)
         ok = ok and greedy_removed >= opt_removed
         max_gap = max(max_gap, greedy_removed - opt_removed)
         count += 1

@@ -136,8 +136,6 @@ def test_sybil_copies_are_byte_identical(setup):
     assert len(copies) == 3
     for u in copies:
         assert np.array_equal(u, leader) and u is not leader
-    with pytest.raises(ConfigError):
-        sybil_updates(leader, [])
 
 
 def test_forge_yields_full_claim_under_absolute_threshold(setup):
@@ -202,6 +200,8 @@ def test_weighted_clean_gradient_path(setup):
 
 
 def test_poison_count_exceeding_pool_rejected(setup):
-    clean, _, pool, model = setup
-    with pytest.raises(ConfigError):
-        basic_attack(model, clean, pool, knobs(poison_count=pool.size + 1, epochs=1), seed=0)
+    # the attacks trust cfg.poison_count; the config that carries it rejects a
+    # count larger than the pool
+    _, _, pool, _ = setup
+    with pytest.raises(ConfigError, match="poison_count"):
+        knobs(poison_count=pool.size + 1, pool_size=pool.size)

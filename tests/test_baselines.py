@@ -138,8 +138,14 @@ def test_krum_memory_is_linear_in_n():
 
 
 def test_krum_population_check():
-    with pytest.raises(ConfigError):
-        krum(rand_updates(np.random.default_rng(0), 6), f=2)  # needs >= 2f+3
+    # 6 clients per round are too few for f=2 (needs 2f+3 = 7); at exactly
+    # 2f+3 an honest update's f+1 nearest peers are honest, so it scores 0
+    with pytest.raises(ConfigError, match="krum needs"):
+        SimConfig(n_clients=30, shards=30, aggregator="krum", agg_f=2)
+    SimConfig(n_clients=35, shards=35, aggregator="krum", agg_f=2)
+    honest = np.array([0.5, -1.0, 2.0])
+    ups = [np.full(3, -40.0), *[honest.copy() for _ in range(5)], np.full(3, 40.0)]
+    assert np.array_equal(krum(ups, f=2), honest)
 
 
 def test_median_small_cases():
@@ -175,8 +181,6 @@ def test_trim_matches_sort_drop_oracle():
     f = 3
     expected = np.sort(np.stack(ups), axis=0)[f:-f].mean(axis=0)
     assert np.max(np.abs(trimmed_mean(ups, f) - expected)) < 1e-15
-    with pytest.raises(ConfigError):
-        trimmed_mean(ups[:6], f=3)
 
 
 def test_fltrust_aligned_client_passthrough():

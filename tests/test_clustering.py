@@ -3,18 +3,23 @@
 import itertools
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedsim.clustering import (
-    ClusterThresholds,
     active_columns,
     compute_thresholds,
     greedy_cluster,
     membership_histograms,
-    objective_value,
 )
 from fedsim.data import gen_dataset, ground_truth_abstract, partition_noniid
-from fedsim.errors import ConfigError, ShapeError
+
+
+def removed(A, x):
+    """Memberships of A that the assignment x dropped; x may only drop, never add."""
+    assert A.shape == x.shape and np.all(x <= A)
+    return int(A.sum()) - int(x.sum())
 
 
 def exact_max_kept(A, per_client, per_cluster):
@@ -47,16 +52,14 @@ def exact_max_kept(A, per_client, per_cluster):
 
 def test_thresholds_all_ones():
     A = np.ones((10, 50), dtype=np.uint8)
-    th = compute_thresholds(A)
-    assert th.per_client == 10 and th.per_cluster == 50
+    assert compute_thresholds(A) == (10, 50)
 
 
 def test_thresholds_uniform_five_classes():
     A = np.zeros((10, 50), dtype=np.uint8)
     for j in range(50):
         A[(j % 2) * 5:(j % 2) * 5 + 5, j] = 1  # every client claims exactly 5
-    th = compute_thresholds(A)
-    assert th.per_client == 5 and th.per_cluster == 25
+    assert compute_thresholds(A) == (5, 25)
 
 
 def test_thresholds_boundary_client_counts_full_share():
@@ -65,51 +68,51 @@ def test_thresholds_boundary_client_counts_full_share():
     A[:2, 0] = 1   # m_j = 2
     A[:2, 1] = 1   # m_j = 2
     A[:3, 2] = 1   # m_j = 3 -> mean 2.33 -> per_client 2
-    th = compute_thresholds(A)
-    assert th.per_client == 2
     # min(m_j, 2) sums to 6 over 4 classes -> floor 1.5 = 1
-    assert th.per_cluster == 1
+    assert compute_thresholds(A) == (2, 1)
 
 
 def test_thresholds_match_independent_formula_on_desk_partition():
     ds = gen_dataset(10, 32, 1000, seed=1)
     parts = partition_noniid(ds, 50, p=0.4, shards=250, seed=7)
     A = ground_truth_abstract(parts, tau=20)
-    th = compute_thresholds(A)
+    per_client, per_cluster = compute_thresholds(A)
     # independent evaluation, written from the formula rather than the code
     m_j = [int(A[:, j].sum()) for j in range(50) if A[:, j].sum() > 0]
     m_th = int(np.floor(sum(m_j) / len(m_j)))
     budget = sum(m_th if mj > m_th else mj if mj < m_th else m_th for mj in m_j)
     n_th = budget // 10
-    assert th.per_client == max(1, m_th)
-    assert th.per_cluster == max(1, n_th)
+    assert per_client == max(1, m_th)
+    assert per_cluster == max(1, n_th)
 
 
 def test_thresholds_exclude_empty_clients():
     A = np.ones((4, 5), dtype=np.uint8)
     A[:, 2] = 0
-    th = compute_thresholds(A)
-    assert th.per_client == 4
+    assert compute_thresholds(A)[0] == 4
     assert np.array_equal(active_columns(A), np.array([1, 1, 0, 1, 1], dtype=bool))
-    with pytest.raises(ConfigError):
-        compute_thresholds(np.zeros((3, 3), dtype=np.uint8))
+    # a round in which nobody claims a class gets the smallest budgets
+    assert compute_thresholds(np.zeros((3, 3), dtype=np.uint8)) == (1, 1)
 
 
 def test_thresholds_validation():
-    with pytest.raises(ConfigError):
-        ClusterThresholds(0, 1)
+    # both budgets are floored at 1: one claim over ten classes would
+    # otherwise give clusters of size 0
+    A = np.zeros((10, 4), dtype=np.uint8)
+    A[3, 1] = 1
+    assert compute_thresholds(A) == (1, 1)
+    assert np.array_equal(greedy_cluster(A, (1, 1)), A)
 
 
 def test_greedy_feasible_start_untouched():
     A = np.ones((10, 50), dtype=np.uint8)
-    x = greedy_cluster(A, ClusterThresholds(per_client=10, per_cluster=50))
+    x = greedy_cluster(A, (10, 50))
     assert np.array_equal(x, A)
 
 
 def test_greedy_tiny_instance_among_valid_optima():
     A = np.ones((2, 3), dtype=np.uint8)
-    th = ClusterThresholds(per_client=1, per_cluster=1)
-    x = greedy_cluster(A, th)
+    x = greedy_cluster(A, (1, 1))
     # brute force all valid assignments
     valid = []
     for bits in itertools.product((0, 1), repeat=6):
@@ -122,7 +125,7 @@ def test_greedy_tiny_instance_among_valid_optima():
 
 def test_greedy_deterministic_tiebreak():
     A = np.ones((2, 2), dtype=np.uint8)
-    x = greedy_cluster(A, ClusterThresholds(per_client=1, per_cluster=1))
+    x = greedy_cluster(A, (1, 1))
     # row 0 drops the lowest-index max column, then row 1 drops column 1
     assert np.array_equal(x, np.array([[0, 1], [1, 0]], dtype=np.uint8))
 
@@ -136,21 +139,28 @@ def test_greedy_budgets_on_random_instances():
         if not active_columns(A).any():
             continue
         th = compute_thresholds(A)
+        per_client, per_cluster = th
         x = greedy_cluster(A, th)
         assert np.all(x <= A)
-        assert x.sum(axis=1).max() <= th.per_cluster
-        assert x.sum(axis=0).max() <= th.per_client
+        assert x.sum(axis=1).max() <= per_cluster
+        assert x.sum(axis=0).max() <= per_client
         assert np.array_equal(x, greedy_cluster(A, th))  # deterministic
 
 
-def test_objective_trivial_values():
-    A = np.array([[1, 1], [0, 1]], dtype=np.uint8)
-    assert objective_value(A, A) == 0
-    assert objective_value(A, np.zeros_like(A)) == int(A.sum())
-    with pytest.raises(ConfigError):
-        objective_value(A, np.ones_like(A))
-    with pytest.raises(ShapeError):
-        objective_value(A, np.zeros((3, 3), dtype=np.uint8))
+@settings(max_examples=300, deadline=None)
+@given(base=arrays(np.uint8, st.tuples(st.integers(1, 8), st.integers(1, 8)), elements=st.integers(0, 1)),
+       picks=st.lists(st.integers(0, 7), min_size=1, max_size=16))
+def test_greedy_keeps_both_budgets_on_any_matrix(base, picks):
+    # columns are drawn with repetition, so duplicated clients are common;
+    # all-zero matrices and columns are included
+    A = base[:, [p % base.shape[1] for p in picks]]
+    th = compute_thresholds(A)
+    per_client, per_cluster = th
+    assert per_client >= 1 and per_cluster >= 1
+    x = greedy_cluster(A, th)
+    assert x.dtype == np.uint8 and np.all(x <= A)
+    assert x.sum(axis=1).max() <= per_cluster
+    assert x.sum(axis=0).max() <= per_client
 
 
 def test_greedy_matches_exact_optimum_on_small_instances():
@@ -165,10 +175,9 @@ def test_greedy_matches_exact_optimum_on_small_instances():
         if not active_columns(A).any():
             continue
         th = compute_thresholds(A)
-        greedy_removed = objective_value(A, greedy_cluster(A, th))
+        greedy_removed = removed(A, greedy_cluster(A, th))
         active = active_columns(A)
-        opt_removed = int(A.sum()) - int(A[:, ~active].sum()) - exact_max_kept(
-            A[:, active], th.per_client, th.per_cluster)
+        opt_removed = int(A.sum()) - int(A[:, ~active].sum()) - exact_max_kept(A[:, active], *th)
         assert greedy_removed >= opt_removed
         gaps.append(greedy_removed - opt_removed)
     assert max(gaps) <= 2

