@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
+from .trust import ZERO_NORM_EPS
 
 
 def _stack(updates) -> np.ndarray:
@@ -73,12 +74,12 @@ def fltrust(updates, server_update: np.ndarray) -> np.ndarray:
     if server_update.shape != mat.shape[1:]:
         raise ShapeError("server update length differs from client updates")
     s_norm = np.linalg.norm(server_update)
-    if s_norm < 1e-12:
+    if s_norm < ZERO_NORM_EPS:
         return server_update.copy()
     norms = np.linalg.norm(mat, axis=1)
-    safe = np.maximum(norms, 1e-12)
+    safe = np.maximum(norms, ZERO_NORM_EPS)
     cos = (mat @ server_update) / (safe * s_norm)
-    cos[norms < 1e-12] = 0.0
+    cos[norms < ZERO_NORM_EPS] = 0.0
     ts = np.maximum(cos, 0.0)
     if ts.sum() <= 0:
         return server_update.copy()

@@ -6,23 +6,27 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .config import apply_overrides, load_config
+from .config import SimConfig, apply_overrides, load_config, split_setting
 from .errors import ConfigError, ShapeError, TrainingError
 from .harness import run_and_write
 
 
-def _parse_overrides(pairs: Optional[List[str]]) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"override must look like key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+def _overrides(args: argparse.Namespace) -> Dict[str, str]:
+    """The --override settings, each value taken whole (no comment cutting)."""
+    return dict(split_setting(pair, "--override") for pair in args.override or [])
+
+
+def _runs(cfg: SimConfig, plan: List[Tuple[Path, Dict[str, str]]]) -> Iterator[Dict[str, object]]:
+    """Summaries of `cfg` run with each (output directory, overrides), in order.
+
+    Every run's config is built, and so checked, before the first run starts.
+    """
+    cfgs = [(out, apply_overrides(cfg, overrides)) for out, overrides in plan]
+    return (run_and_write(run_cfg, out) for out, run_cfg in cfgs)
 
 
 def _mean_summary(per_seed: List[Dict[str, object]]) -> Dict[str, object]:
@@ -42,16 +46,13 @@ def _mean_summary(per_seed: List[Dict[str, object]]) -> Dict[str, object]:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
-    cfg = load_config(args.config, _parse_overrides(args.override))
-    if args.seed is not None:
-        cfg = apply_overrides(cfg, {"seed": str(args.seed)})
+    cfg = load_config(args.config, _overrides(args))
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     summaries = []
-    for rep in range(args.repeats):
-        run_cfg = apply_overrides(cfg, {"seed": str(cfg.seed + rep)}) if rep else cfg
-        summary = run_and_write(run_cfg, out_dir)
+    for summary in _runs(cfg, [(out_dir, {"seed": str(cfg.seed + rep)})
+                               for rep in range(args.repeats)]):
         summaries.append(summary)
-        print(f"seed {run_cfg.seed}: accuracy={summary['final_accuracy']:.4f} "
+        print(f"seed {summary['seed']}: accuracy={summary['final_accuracy']:.4f} "
               f"asr={summary['final_asr']:.4f}")
     if args.repeats > 1:
         mean = _mean_summary(summaries)
@@ -64,7 +65,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.param == "seed":
         raise ConfigError("sweep seeds with --seeds, not --param seed")
-    cfg = load_config(args.config, _parse_overrides(args.override))
+    cfg = load_config(args.config, _overrides(args))
     key = args.param
     values = [v for v in args.values.split(",") if v != ""]
     if not values:
@@ -73,14 +74,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
     except ValueError:
         raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
-    # every run's config is built, and so checked, before the first run starts
-    grid = [(value, [apply_overrides(cfg, {key: value, "seed": str(seed)}) for seed in seeds])
-            for value in values]
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
+    runs = _runs(cfg, [(out_dir / f"{key}_{value}", {key: value, "seed": str(seed)})
+                       for value in values for seed in seeds])
     rows = []
-    for value, run_cfgs in grid:
-        per_seed = [run_and_write(run_cfg, out_dir / f"{key}_{value}") for run_cfg in run_cfgs]
-        mean = _mean_summary(per_seed)
+    for value in values:
+        mean = _mean_summary([next(runs) for _ in seeds])
         mean[key] = value
         rows.append(mean)
         print(f"{key}={value}: accuracy={mean['final_accuracy']:.4f} "
@@ -122,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment configuration")
     p_run.add_argument("config", nargs="?", default=None,
                        help="flat key=value config file (defaults apply if omitted)")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--override", action="append", metavar="KEY=VALUE")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--repeats", type=int, default=1,

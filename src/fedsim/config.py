@@ -6,7 +6,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Tuple
+from typing import Tuple, get_args, get_origin, get_type_hints
 
 from .data import QUIET_DIMS
 from .errors import ConfigError
@@ -14,27 +14,6 @@ from .errors import ConfigError
 AGGREGATORS = ("fedavg", "krum", "median", "trim", "fltrust", "clustervote")
 ATTACKS = ("none", "basic", "alternate", "dba", "sybil", "adaptive")
 THRESHOLD_MODES = ("mean", "mean_plus_std", "absolute")
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"cannot parse boolean from {text!r}")
-
-
-def _parse_int_tuple(text: str) -> Tuple[int, ...]:
-    return tuple(int(v) for v in str(text).split(";") if v != "")
-
-
-def _parse_float_tuple(text: str) -> Tuple[float, ...]:
-    return tuple(float(v) for v in str(text).split(";") if v != "")
-
-
-def _parse_str_tuple(text: str) -> Tuple[str, ...]:
-    return tuple(v.strip() for v in str(text).split(";") if v.strip())
 
 
 @dataclass
@@ -196,7 +175,8 @@ class SimConfig:
 
     @property
     def malicious_ids(self) -> Tuple[int, ...]:
-        return tuple(range(self.num_malicious))
+        """The attacking clients: the first num_malicious ids, none under attack=none."""
+        return tuple(range(self.num_malicious)) if self.attack != "none" else ()
 
     def to_text(self) -> str:
         lines = []
@@ -211,53 +191,49 @@ class SimConfig:
         Path(path).write_text(self.to_text())
 
 
-_TUPLE_PARSERS = {
-    "hidden_dims": _parse_int_tuple,
-    "trigger_indices": _parse_int_tuple,
-    "trigger_values": _parse_float_tuple,
-    "voting_metrics": _parse_str_tuple,
-}
+# each field's declared type, which is how its text is read
+_FIELD_TYPES = get_type_hints(SimConfig)
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
-def _coerce(name: str, text: str, kind: type) -> object:
+def _read(kind: type, text: str) -> object:
+    return _BOOLS[text.strip().lower()] if kind is bool else kind(text)
+
+
+def _parse(key: str, text: str) -> object:
+    """Field `key` read from its text by its declared type; a tuple is ;-separated."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
+    kind = _FIELD_TYPES[key]
     try:
-        if name in _TUPLE_PARSERS:
-            return _TUPLE_PARSERS[name](text)
-        if kind is bool:
-            return _parse_bool(text)
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {name}={text!r}: {exc}") from exc
-    return text
+        if get_origin(kind) is tuple:
+            return tuple(_read(get_args(kind)[0], v.strip()) for v in text.split(";") if v.strip())
+        return _read(kind, text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"cannot parse {key}={text!r}") from None
+
+
+def split_setting(text: str, where: str) -> Tuple[str, str]:
+    """One `key=value` setting as its stripped key and value; `where` names it in an error."""
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    return key.strip(), value.strip()
 
 
 def apply_overrides(cfg: SimConfig, overrides: dict[str, str]) -> SimConfig:
     """New config with the given key=value strings applied."""
-    known = {f.name: f.type for f in fields(cfg)}
-    values = dataclasses.asdict(cfg)
-    for key, text in overrides.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        values[key] = _coerce(key, text, type(current))
-    return SimConfig(**values)
+    return dataclasses.replace(cfg, **{key: _parse(key, text) for key, text in overrides.items()})
 
 
 def load_config(path: Path | str | None, overrides: dict[str, str] | None = None) -> SimConfig:
-    """Config from a flat key=value file (optional) plus overrides."""
+    """Config from a flat key=value file (optional, `#` starts a comment) plus overrides."""
     parsed: dict[str, str] = {}
     if path is not None:
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            parsed[key.strip()] = value.strip()
-    if overrides:
-        parsed.update(overrides)
-    return apply_overrides(SimConfig(), parsed)
+            line = raw.split("#", 1)[0]
+            if line.strip():
+                key, value = split_setting(line, f"{path}:{lineno}")
+                parsed[key] = value
+    return apply_overrides(SimConfig(), {**parsed, **(overrides or {})})

@@ -45,10 +45,6 @@ class LabeledDataset:
     def size(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.samples.shape[1]
-
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
 

@@ -226,8 +226,7 @@ class _Clients:
         self.cfg = cfg
         self.partitions = partitions
         # attacker id -> its poison pool; empty when nobody attacks
-        attacking = cfg.attack != "none" and cfg.num_malicious > 0
-        self.pools = _build_attack_pools(cfg, trigger, partitions) if attacking else {}
+        self.pools = _build_attack_pools(cfg, trigger, partitions) if cfg.malicious_ids else {}
 
     def updates(self, theta: ModelParams, selected: Sequence[int], t: int) -> List[np.ndarray]:
         """One update per selected client, in selection order.
@@ -283,8 +282,8 @@ class ClusterVote:
         self.ground_truth = ground_truth
         # representation features use one fixed auxiliary class
         self.aux_rep = aux.subset(np.flatnonzero(aux.labels == 0))
-        self.malicious = set(cfg.malicious_ids) if cfg.attack != "none" else set()
-        self.ledger = trust.TrustLedger(cfg.n_clients, gamma=cfg.gamma)
+        self.malicious = set(cfg.malicious_ids)
+        self.ledger = trust.TrustLedger(cfg.n_clients, cfg.gamma)
         self.indicator_sum = np.zeros((cfg.n_clients, cfg.num_classes))
         self.indicator_obs = np.zeros(cfg.n_clients, dtype=np.int64)
 

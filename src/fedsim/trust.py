@@ -70,14 +70,11 @@ def cluster_votes(
         if members.size < 2:
             continue
         S = similarity_matrix([vectors[j] for j in members])
+        np.fill_diagonal(S, -np.inf)
         take = max(1, min(k_vote, members.size // 2))
-        for a in range(members.size):
-            sims = S[a].copy()
-            sims[a] = -np.inf
-            # stable sort on (-similarity, index): ties go to the lower index
-            order = np.lexsort((np.arange(members.size), -sims))
-            for b in order[:take]:
-                votes[members[b]] += 1
+        # each member's picks: a stable sort on -similarity, so ties go to the lower index
+        picks = np.argsort(-S, axis=1, kind="stable")[:, :take]
+        np.add.at(votes, members[picks], 1)
     return votes
 
 
@@ -92,7 +89,7 @@ class TrustLedger:
     """
 
     num_clients: int
-    gamma: float = 0.1
+    gamma: float
     accumulated_raw: np.ndarray = field(init=False)
     immediate: Dict[int, float] = field(init=False, default_factory=dict)
 

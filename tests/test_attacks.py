@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.attacks import (
     adaptive_attack,
@@ -64,20 +66,37 @@ def test_poison_pool_relabels_everything(setup):
     assert np.all(pool.samples[:, list(TRIG.indices)] == list(TRIG.values))
 
 
-def test_basic_degenerates_to_honest(setup):
-    clean, _, pool, model = setup
-    honest = honest_update(model, clean)
-    attack = basic_attack(model, clean, pool, knobs(poison_count=0), seed=10)
-    assert np.array_equal(attack, honest)
+# neutral knobs over seeds, dataset sizes, one-batch epochs (batch_size >= n)
+# and batch sizes that do not divide n
+NEUTRAL_RUNS = dict(seed=st.integers(0, 2**32 - 1), per_class=st.integers(1, 6),
+                    epochs=st.integers(1, 4), batch_size=st.integers(1, 40))
 
 
-def test_alternate_degenerates_to_honest(setup):
-    clean, _, pool, model = setup
-    cfg = knobs(poison_count=0, boost=1.0, stealth_rho=0.0)
-    honest = honest_update(model, clean)
-    benign = honest_update(model, clean, seed=77)
-    attack = alternate_attack(model, clean, pool, benign, cfg, seed=10)
-    assert np.array_equal(attack, honest)
+def neutral_case(setup, per_class, epochs, batch_size):
+    _, _, pool, model = setup
+    clean = gen_dataset(M, R_IN, per_class, seed=per_class, means=class_means(M, R_IN, seed=4))
+    cfg = knobs(poison_count=0, boost=1.0, stealth_rho=0.0, lambda_clean=1.0,
+                epochs=epochs, batch_size=batch_size)
+    return clean, pool, model, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(**NEUTRAL_RUNS)
+def test_basic_degenerates_to_honest(setup, seed, per_class, epochs, batch_size):
+    clean, pool, model, cfg = neutral_case(setup, per_class, epochs, batch_size)
+    honest = local_train(model, clean, epochs, cfg.lr_client, batch_size, seed)
+    attack = basic_attack(model, clean, pool, cfg, seed)
+    assert attack.tobytes() == honest.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(**NEUTRAL_RUNS)
+def test_alternate_degenerates_to_honest(setup, seed, per_class, epochs, batch_size):
+    clean, pool, model, cfg = neutral_case(setup, per_class, epochs, batch_size)
+    honest = local_train(model, clean, epochs, cfg.lr_client, batch_size, seed)
+    benign = honest_update(model, clean, seed=77)  # an anchor with zero pull
+    attack = alternate_attack(model, clean, pool, benign, cfg, seed)
+    assert attack.tobytes() == honest.tobytes()
 
 
 def test_dba_part_one_equals_basic(setup):

@@ -15,7 +15,8 @@ from fedsim.errors import ConfigError
 def test_defaults_are_valid():
     cfg = SimConfig()
     assert cfg.layer_dims == (32, 64, 10)
-    assert cfg.malicious_ids == (0, 1, 2, 3, 4)
+    assert cfg.malicious_ids == ()  # attack=none: nobody attacks
+    assert SimConfig(attack="basic").malicious_ids == (0, 1, 2, 3, 4)
 
 
 def test_text_roundtrip(tmp_path):

@@ -25,7 +25,7 @@ def sorted_rows(ds):
 
 def test_gen_counts_and_shape():
     ds = gen_dataset(10, 32, 100, seed=0)
-    assert ds.size == 1000 and ds.input_dim == 32
+    assert ds.samples.shape == (1000, 32)
     assert np.all(ds.class_counts() == 100)
 
 
@@ -57,7 +57,7 @@ def test_shared_means_across_splits():
 
 def softmax_regression_train_acc(ds, epochs=20, lr=0.5, bs=64):
     """Independent linear oracle: plain softmax regression."""
-    m, d = ds.num_classes, ds.input_dim
+    m, d = ds.num_classes, ds.samples.shape[1]
     W = np.zeros((m, d))
     b = np.zeros(m)
     onehot = np.eye(m)[ds.labels]

@@ -205,7 +205,7 @@ def test_cli_run_and_report(tmp_path, capsys):
     lines = [f"{k}={v}" for k, v in TINY.items()] + ["rounds=2"]
     cfg_path.write_text("\n".join(lines) + "\n")
     out_dir = tmp_path / "out"
-    assert main(["run", str(cfg_path), "--out", str(out_dir), "--seed", "2"]) == 0
+    assert main(["run", str(cfg_path), "--out", str(out_dir), "--override", "seed=2"]) == 0
     assert (out_dir / "rounds_clustervote_none_seed2.csv").exists()
     assert main(["report", str(out_dir)]) == 0
     report = capsys.readouterr().out
@@ -250,6 +250,9 @@ def test_cli_zero_batch_size_is_one_config_error(tmp_path, capsys):
     (["sweep", "--param", "noniid_p", "--values", "0.1", "--seeds", "1,x"], "--seeds"),
     (["sweep", "--param", "noniid_p", "--values", ","], "--values"),
     (["sweep", "--param", "noniid_p", "--values", "0.1,7"], "noniid_p"),
+    (["run", "--override", "hidden_dims=3;x"], "hidden_dims"),
+    (["run", "--override", "rounds"], "--override"),          # no '='
+    (["run", "--override", "out_dir=runs#1"], "out_dir"),     # taken whole, no comment cut
 ])
 def test_cli_bad_arguments_are_one_config_error(tmp_path, capsys, monkeypatch, argv, flag):
     # a seed sweep used to run the config's own seed under every label
@@ -261,6 +264,23 @@ def test_cli_bad_arguments_are_one_config_error(tmp_path, capsys, monkeypatch, a
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error: ") and flag in err[0]
+
+
+def test_cli_repeats_check_every_config_before_the_first_run(tmp_path, monkeypatch):
+    # like sweep, run --repeats builds (and so checks) every seed's config
+    # before the first run starts
+    from fedsim import cli
+    built = []
+    real_apply = cli.apply_overrides
+    def recording_apply(cfg, overrides):
+        built.append(overrides["seed"])
+        return real_apply(cfg, overrides)
+    def no_run(*args, **kw):
+        assert built == ["1", "2", "3"]
+        raise ShapeError("stop")
+    monkeypatch.setattr(cli, "apply_overrides", recording_apply)
+    monkeypatch.setattr(cli, "run_and_write", no_run)
+    assert main(["run", "--repeats", "3", "--out", str(tmp_path)]) == 1
 
 
 def test_cli_bad_config_fails_before_training(tmp_path, monkeypatch):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.errors import ShapeError
 from fedsim.model import ModelParams, param_dim, softmax
@@ -146,7 +148,7 @@ def test_votes_validation():
 
 def first_round_trust(votes):
     """The ledger's immediate trust for one first round of the given votes."""
-    ledger = TrustLedger(num_clients=len(votes))
+    ledger = TrustLedger(num_clients=len(votes), gamma=0.1)
     ledger.update(range(len(votes)), np.asarray(votes))
     return np.array([ledger.immediate[cid] for cid in range(len(votes))])
 
@@ -205,12 +207,23 @@ def test_accumulate_matches_closed_form_oracle():
     assert np.max(np.abs(out - closed)) < 1e-12
 
 
-def test_accumulate_freezes_unselected():
-    ledger = TrustLedger(num_clients=4, gamma=0.1)
-    ledger.update([0, 1], np.array([1, 1]))
-    stored = ledger.accumulated_raw[1]
-    ledger.update([0, 2], np.array([3, 0]))
-    assert ledger.accumulated_raw[1] == stored
+@settings(max_examples=150, deadline=None)
+@given(gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       rounds=st.lists(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 40)),
+                                min_size=1, unique_by=lambda pick: pick[0]),
+                       min_size=1, max_size=6))
+def test_accumulate_freezes_unselected(gamma, rounds):
+    # over any rounds of (client, votes) picks: unselected clients' raw trust
+    # is frozen, and immediate and returned trust each sum to one
+    ledger = TrustLedger(num_clients=8, gamma=gamma)
+    for picks in rounds:
+        selected = [cid for cid, _ in picks]
+        before = ledger.accumulated_raw.copy()
+        out = ledger.update(selected, np.array([votes for _, votes in picks]))
+        assert math.isclose(out.sum(), 1.0, abs_tol=1e-12)
+        assert math.isclose(sum(ledger.immediate.values()), 1.0, abs_tol=1e-12)
+        frozen = np.setdiff1d(np.arange(8), selected)
+        assert np.array_equal(ledger.accumulated_raw[frozen], before[frozen])
 
 
 def test_ledger_validation():
