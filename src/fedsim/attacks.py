@@ -91,10 +91,11 @@ def alternate_attack(
                 grad = _weighted_grad(theta, x, y, idx, n_clean, cfg.lambda_clean)
             else:
                 _, grad = loss_and_grad(theta, x[idx], y[idx])
-            delta -= lr * grad
+            grad *= lr  # in place: the same doubles as delta -= lr * grad
+            delta -= grad
             if h % 2 == 1 and pull > 0.0:
                 delta -= pull * (delta - anchor_delta)
-            theta.flat = global_params.flat + delta
+            np.add(global_params.flat, delta, out=theta.flat)
 
     if cfg.boost != 1.0:
         delta = delta * cfg.boost

@@ -27,7 +27,15 @@ from .data import (
     partition_noniid,
 )
 from .errors import ConfigError, ShapeError, TrainingError
-from .model import ModelParams, init_model, forward, local_train, representation
+from .model import (
+    ModelParams,
+    finite_update,
+    forward,
+    full_batch_train,
+    init_model,
+    local_train,
+    representation,
+)
 
 # stream tags for seed derivation
 _TRAIN, _TEST, _AUX, _PART, _INIT, _SELECT, _CLIENT, _BENIGN, _POOL, _SERVER = range(10)
@@ -231,14 +239,30 @@ class _Clients:
     def updates(self, theta: ModelParams, selected: Sequence[int], t: int) -> List[np.ndarray]:
         """One update per selected client, in selection order.
 
-        Sybil colluders all submit copies of one update, trained when the
-        first of them comes up. A failure names the client being trained.
+        Honest clients whose data fit in one batch train first, as one
+        stacked model per data size; that is byte for byte their own
+        `local_train`. Sybil colluders all submit copies of one update,
+        trained when the first of them comes up. A failure names the client
+        being trained.
         """
         cfg = self.cfg
+        stacks: Dict[int, List[int]] = {}
+        for cid in selected:
+            size = self.partitions[cid].size
+            if cid not in self.pools and 1 <= size <= cfg.batch_size:
+                stacks.setdefault(size, []).append(cid)
         updates: Dict[int, np.ndarray] = {}
+        for members in stacks.values():
+            rows = full_batch_train(theta, [self.partitions[cid] for cid in members],
+                                    cfg.epochs, cfg.lr_client)
+            for cid, row in zip(members, rows):
+                try:
+                    updates[cid] = finite_update(row)
+                except TrainingError as exc:
+                    raise TrainingError(f"round {t}, client {cid}: {exc}") from exc
         for cid in selected:
             if cid in updates:
-                continue  # a sybil copy, made with its leader's update
+                continue  # stacked, or a sybil copy made with its leader's update
             try:
                 if cid not in self.pools:
                     updates[cid] = local_train(

@@ -1,15 +1,17 @@
 """Feedforward classifier with analytic gradients and local SGD training.
 
-Parameters live in one flat float64 vector; (weight, bias) views are
-reconstructed on demand from the recorded layer shapes. Hidden layers use
-ReLU, so the inputs to the final linear layer are non-negative -- a property
-the server-side label inference relies on. All functions are pure and
-deterministic given (params, data, seed).
+Parameters live in one flat float64 vector; (weight, bias) views into it are
+built once from the recorded layer shapes. The vector may carry leading
+axes, shape (..., d): that is a stack of models, and every function here that
+takes a stack works on each of its models independently, bit for bit as on
+that model alone. Hidden layers use ReLU, so the inputs to the final linear
+layer are non-negative -- a property the server-side label inference relies
+on. All functions are pure and deterministic given (params, data, seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -18,6 +20,7 @@ from .data import LabeledDataset
 from .errors import ShapeError, TrainingError
 
 Shapes = List[Tuple[int, int]]
+Layers = Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 
 def param_dim(shapes: Sequence[Tuple[int, int]]) -> int:
@@ -25,43 +28,56 @@ def param_dim(shapes: Sequence[Tuple[int, int]]) -> int:
     return int(sum(out * inp + out for out, inp in shapes))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
-    """Flat parameter vector plus the (out, in) shape of every layer."""
+    """Flat parameter vector, or a stack of them, plus the (out, in) shape of every layer.
+
+    Frozen, so the layer views cannot go stale: `.flat` cannot be rebound,
+    and writes into it land in the views.
+    """
 
     flat: np.ndarray
     shapes: Shapes
+    _layers: Layers = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.flat = np.asarray(self.flat, dtype=np.float64)
-        if self.flat.ndim != 1 or self.flat.size != param_dim(self.shapes):
+        flat = np.asarray(self.flat, dtype=np.float64)
+        need = param_dim(self.shapes)
+        if flat.ndim < 1 or flat.shape[-1] != need:
             raise ShapeError(
-                f"flat vector of length {self.flat.size} does not match "
-                f"shapes {self.shapes} (need {param_dim(self.shapes)})"
+                f"flat vector of shape {flat.shape} does not match "
+                f"shapes {self.shapes} (need a last axis of {need})"
             )
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "_layers", _layer_views(flat, self.shapes))
 
     @property
     def dim(self) -> int:
-        return self.flat.size
+        return self.flat.shape[-1]
 
     @property
     def num_classes(self) -> int:
         return self.shapes[-1][0]
 
-    def layers(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """(weight, bias) views into the flat vector, in layer order."""
-        out = []
-        off = 0
-        for rows, cols in self.shapes:
-            w = self.flat[off:off + rows * cols].reshape(rows, cols)
-            off += rows * cols
-            b = self.flat[off:off + rows]
-            off += rows
-            out.append((w, b))
-        return out
+    def layers(self) -> Layers:
+        """(weight, bias) views into the flat vector, in layer order, with its leading axes."""
+        return self._layers
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.flat.copy(), list(self.shapes))
+
+
+def _layer_views(flat: np.ndarray, shapes: Sequence[Tuple[int, int]]) -> Layers:
+    """(weight, bias) views into `flat`, in layer order, with its leading axes."""
+    lead = flat.shape[:-1]
+    layers = []
+    off = 0
+    for rows, cols in shapes:
+        w = flat[..., off:off + rows * cols].reshape(lead + (rows, cols))
+        off += rows * cols
+        layers.append((w, flat[..., off:off + rows]))
+        off += rows
+    return tuple(layers)
 
 
 def init_model(layer_dims: Sequence[int], seed: int, zero_last: bool = False) -> ModelParams:
@@ -93,15 +109,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward(
-    layers: List[Tuple[np.ndarray, np.ndarray]], x: np.ndarray
-) -> Tuple[np.ndarray, List[np.ndarray]]:
+def _forward(layers: Layers, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Logits plus the input of every layer: x, then each hidden ReLU output."""
     acts = [x]
     for w, b in layers[:-1]:
-        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+        acts.append(np.maximum(acts[-1] @ w.mT + b[..., None, :], 0.0))
     w_last, b_last = layers[-1]
-    return acts[-1] @ w_last.T + b_last, acts
+    return acts[-1] @ w_last.mT + b_last[..., None, :], acts
 
 
 def forward(params: ModelParams, inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -125,47 +139,91 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tuple[fl
 
     Backprop through the ReLU stack; the logits-layer gradient per sample is
     softmax(logits) - onehot(label), averaged over the batch. Each layer's
-    gradient is written into its view of one flat vector.
+    gradient is written into its view of one flat vector. For a stack of
+    models, shape (..., d), x is (..., n, width) and y is (..., n): one batch
+    per model, all of one size n. The loss then has the leading shape and the
+    gradient the stack's shape.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or y.ndim != 1:
-        raise ShapeError("inputs must be 2-D and labels 1-D")
-    n = x.shape[0]
-    if n != y.shape[0]:
+    lead = params.flat.shape[:-1]
+    if x.ndim != len(lead) + 2 or y.ndim != len(lead) + 1:
+        raise ShapeError("inputs must be 2-D and labels 1-D for each model of the stack")
+    n = x.shape[-2]
+    if x.shape[:-1] != y.shape or y.shape[:-1] != lead:
         raise ShapeError("inputs and labels disagree on batch size")
     if n < 1:
         raise ShapeError("batch must contain at least one sample")
     if y.min() < 0 or y.max() >= params.num_classes:
         raise ShapeError("labels out of range for the model's class count")
-    if x.shape[1] != params.shapes[0][1]:
+    if x.shape[-1] != params.shapes[0][1]:
         raise ShapeError("batch width does not match the model input width")
     layers = params.layers()
     logits, acts = _forward(layers, x)
 
     probs = softmax(logits)
+    m = probs.shape[-1]
+    rows, labels = np.arange(y.size), y.reshape(-1)
     # clip only inside the log; the gradient uses the exact probabilities
-    loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), y], 1e-300))))
+    picked = probs.reshape(-1, m)[rows, labels].reshape(y.shape)
+    loss = -np.mean(np.log(np.maximum(picked, 1e-300)), axis=-1)
     dz = probs  # edited in place: the loss has been read
-    dz[np.arange(n), y] -= 1.0
+    dz.reshape(-1, m)[rows, labels] -= 1.0
     dz /= n
 
-    grad = np.empty(params.dim)
-    grads = ModelParams(grad, params.shapes).layers()
+    grad = np.empty(params.flat.shape)
+    grads = _layer_views(grad, params.shapes)
     for li in range(len(layers) - 1, -1, -1):
         gw, gb = grads[li]
-        np.matmul(dz.T, acts[li], out=gw)
-        dz.sum(axis=0, out=gb)
+        np.matmul(dz.mT, acts[li], out=gw)
+        dz.sum(axis=-2, out=gb)
         if li > 0:
             # a ReLU output is positive exactly where its pre-activation is
             dz = (dz @ layers[li][0]) * (acts[li] > 0.0)
-    return loss, grad
+    return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 def finite_update(delta: np.ndarray) -> np.ndarray:
     """`delta` itself, once every entry is known to be finite."""
     if not np.all(np.isfinite(delta)):
         raise TrainingError("non-finite update")
+    return delta
+
+
+def _sgd_step(params: ModelParams, theta: ModelParams, delta: np.ndarray,
+              x: np.ndarray, y: np.ndarray, lr: float) -> None:
+    """One step in place: delta -= lr * grad at theta, then theta = params + delta.
+
+    The update is accumulated directly, so one step yields -lr*grad exactly;
+    scaling the fresh gradient in place gives the same doubles as lr * grad.
+    """
+    _, grad = loss_and_grad(theta, x, y)
+    grad *= lr
+    delta -= grad
+    np.add(params.flat, delta, out=theta.flat)
+
+
+def full_batch_train(
+    params: ModelParams,
+    datasets: Sequence[LabeledDataset],
+    epochs: int,
+    lr: float,
+) -> np.ndarray:
+    """Full-batch SGD of K equal-size datasets as one stack; returns the (K, d) updates.
+
+    Row k is byte for byte the update `local_train` returns for datasets[k]
+    alone whenever the data fit in one batch: one gradient step per epoch on
+    the data as given. The finiteness check is left to the caller, which
+    knows whom to name.
+    """
+    if not datasets or len({data.size for data in datasets}) != 1:
+        raise ShapeError("a stack needs one or more datasets of one size")
+    x = np.stack([data.samples for data in datasets])
+    y = np.stack([data.labels for data in datasets])
+    theta = ModelParams(np.tile(params.flat, (len(datasets), 1)), params.shapes)
+    delta = np.zeros(theta.flat.shape)
+    for _ in range(epochs):
+        _sgd_step(params, theta, delta, x, y, lr)
     return delta
 
 
@@ -179,28 +237,25 @@ def local_train(
 ) -> np.ndarray:
     """Plain minibatch SGD (no momentum); returns delta = theta_after - theta_before.
 
-    Batches are drawn by a seeded per-epoch shuffle. An epoch that fits in a
-    single batch skips the shuffle, so the one-batch case reduces exactly to
-    one gradient step on the data as given. epochs, lr and batch_size are
-    taken as SimConfig checked them; only the data is checked here.
+    Batches are drawn by a seeded per-epoch shuffle. Data that fit in a
+    single batch skip the shuffle, so the one-batch case reduces exactly to
+    one gradient step per epoch on the data as given (`full_batch_train`).
+    epochs, lr and batch_size are taken as SimConfig checked them; only the
+    data is checked here.
     """
     if data.size < 1:
         raise TrainingError("cannot train on an empty dataset")
+    n = data.size
+    if batch_size >= n:
+        return finite_update(full_batch_train(params, [data], epochs, lr)[0])
     rng = np.random.default_rng(seed)
     theta = params.copy()
-    # the update is accumulated directly so one step yields -lr*grad exactly
     delta = np.zeros(params.dim)
-    n = data.size
     for _ in range(epochs):
-        if batch_size >= n:
-            order = np.arange(n)
-        else:
-            order = rng.permutation(n)
+        order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            _, grad = loss_and_grad(theta, data.samples[idx], data.labels[idx])
-            delta -= lr * grad
-            theta.flat = params.flat + delta
+            _sgd_step(params, theta, delta, data.samples[idx], data.labels[idx], lr)
     return finite_update(delta)
 
 

@@ -2,7 +2,11 @@
 
 Every aggregator x attack pair runs at the desk-scale defaults for four
 rounds, plus clustervote against the adaptive attack under each threshold
-mode, gradient-only voting and the paper's sign rule. The rounds CSV holds
+mode, gradient-only voting and the paper's sign rule. Two many-client cases
+pin clients whose data fit in one batch, which train as one stacked model:
+500 clients of 20 records (one stack per round), and 300 clients of 33 and
+34 records under sybil (two stacks per round beside the leader's own
+training). The rounds CSV holds
 only accuracy and ASR for a baseline aggregator, so two attacks that move no
 argmax give the same CSV; the final-parameter digest tells them apart. The
 digests were taken with one and with two BLAS threads and did not differ. A
@@ -30,6 +34,12 @@ CASES = {f"{agg}-{attack}": {"aggregator": agg, "attack": attack}
          for agg in AGGREGATORS for attack in ATTACKS}
 CASES.update({f"clustervote-adaptive-{name}": {"aggregator": "clustervote", "attack": "adaptive", **kw}
               for name, kw in VARIANTS.items()})
+CASES.update({
+    "scale-fedavg-basic": {"n_clients": 500, "shards": 500, "num_malicious": 50,
+                           "aggregator": "fedavg", "attack": "basic", "rounds": 3},
+    "scale-clustervote-sybil": {"n_clients": 300, "shards": 300, "num_malicious": 30,
+                                "aggregator": "clustervote", "attack": "sybil", "rounds": 3},
+})
 
 DIGESTS = {
     "fedavg-none": "722df556899095c09eddb98de3a90f1b76d49e4a6811669fe15353248141cfe5",
@@ -72,6 +82,8 @@ DIGESTS = {
     "clustervote-adaptive-threshold_mode=mean_plus_std": "4291a9b57bf08e9264d11064c8bca29f3ebe43015297b29340e4ea33f53138e9",
     "clustervote-adaptive-voting_metrics=gradient": "6921d07b239e022cfdc65ba969424065705085f943ff7377de8d158551dc3441",
     "clustervote-adaptive-strict_paper_sign=true": "4a9e5c698705029d405bc7ed06bf762efec12c86ba728beb50d8b3fda9fcf5a1",
+    "scale-fedavg-basic": "3bfb9d29d84532aaf83f7e05ed43f52d0f709472fdcdeb2f514e0eb3ffacf9ba",
+    "scale-clustervote-sybil": "05318e22e6268aa33adffad2492d8aabbea4d40e1490905feda9ff0f6908edc4",
 }
 
 # sha256 of result.final_params.flat.tobytes(). The five attacked krum cases
@@ -117,12 +129,14 @@ PARAMS_DIGESTS = {
     "clustervote-adaptive-threshold_mode=mean_plus_std": "c6b6e6b923fa29b25235c3f2b93e6d937664d7656c65646ddd5c2932dc494753",
     "clustervote-adaptive-voting_metrics=gradient": "0014996cb8a2463565a1b8b640b76138ee3e4fd2596581cf2c2f2b8e57bf944c",
     "clustervote-adaptive-strict_paper_sign=true": "59a9269c803ccfbb896a8075f88cae4adba655d082c1e120ab0e205af35d01b6",
+    "scale-fedavg-basic": "1970142c2baa3dcce7467095f4f8729d39d21b558b2661236a1007135ac84b22",
+    "scale-clustervote-sybil": "4c7e9504cd927a16c68e05d25664e92e0fe01c949dff03049be7016ff32b7971",
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _run(name):
-    return run_experiment(SimConfig(rounds=4, **CASES[name]))
+    return run_experiment(SimConfig(**{"rounds": 4, **CASES[name]}))
 
 
 def test_every_case_is_pinned():

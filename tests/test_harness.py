@@ -8,7 +8,7 @@ import pytest
 
 from fedsim.cli import main
 from fedsim.config import SimConfig
-from fedsim.data import TriggerPattern, class_means, gen_dataset
+from fedsim.data import LabeledDataset, TriggerPattern, class_means, gen_dataset
 from fedsim.errors import ConfigError, ShapeError, TrainingError
 from fedsim.harness import (
     CSV_HEADER,
@@ -77,7 +77,7 @@ def test_evaluate_base_records_exclude_target():
     means = class_means(6, 16, seed=3)
     test = gen_dataset(6, 16, 30, seed=3, means=means)
     model = init_model([16, 12, 6], seed=1)
-    model.flat += local_train(model, test, 5, 0.1, 32, 0)
+    model.flat[...] += local_train(model, test, 5, 0.1, 32, 0)  # in place: .flat is frozen
     trig = TriggerPattern((0, 1), (3.0, -3.0), 2)
     acc, asr, defined = evaluate(model, test, trig, base_count=60)
     assert defined and 0.0 <= asr <= 1.0
@@ -164,6 +164,71 @@ def test_training_failure_names_the_failing_client(monkeypatch):
     monkeypatch.setattr(harness, "local_train", failing)
     with pytest.raises(TrainingError, match=rf"^round {t}, client {victim}: boom$"):
         run_experiment(cfg)
+
+
+def stack_clients(sizes, **kw):
+    """_Clients of one run, honest, with partitions of the given sizes."""
+    from fedsim import harness
+    cfg = tiny_cfg(attack="none", n_clients=len(sizes), shards=len(sizes), **kw)
+    rng = np.random.default_rng(3)
+    parts = [LabeledDataset(rng.standard_normal((n, cfg.input_dim)),
+                            rng.integers(0, cfg.num_classes, n), cfg.num_classes) for n in sizes]
+    theta = init_model(cfg.layer_dims, seed=1, zero_last=True)
+    return harness._Clients(cfg, parts, None), theta
+
+
+def test_one_batch_clients_train_as_one_stack_per_size(monkeypatch):
+    from fedsim import harness
+    clients, theta = stack_clients([20, 7, 20, 80, 7, 20], batch_size=64)
+    stacks = []
+    orig = harness.full_batch_train
+    def spy(params, datasets, epochs, lr):
+        stacks.append([d.size for d in datasets])
+        return orig(params, datasets, epochs, lr)
+    monkeypatch.setattr(harness, "full_batch_train", spy)
+    selected = [0, 1, 3, 4, 5]
+    updates = clients.updates(theta, selected, 2)
+    assert stacks == [[20, 20], [7, 7]]  # client 3 holds more than one batch
+    cfg = clients.cfg
+    for cid, delta in zip(selected, updates):
+        alone = local_train(theta, clients.partitions[cid], cfg.epochs, cfg.lr_client,
+                            cfg.batch_size, harness.derive_seed(cfg.seed, harness._CLIENT, 2, cid))
+        assert delta.tobytes() == alone.tobytes()
+
+
+def test_non_finite_stack_row_names_its_own_client(monkeypatch):
+    from fedsim import harness
+    clients, theta = stack_clients([20] * 8)
+    orig = harness.full_batch_train
+    def third_row_diverges(params, datasets, epochs, lr):
+        rows = orig(params, datasets, epochs, lr)
+        rows[2, 5] = np.nan
+        return rows
+    monkeypatch.setattr(harness, "full_batch_train", third_row_diverges)
+    with pytest.raises(TrainingError, match=r"^round 3, client 6: non-finite update$"):
+        clients.updates(theta, [1, 4, 6, 7], 3)
+
+
+def test_empty_partition_keeps_its_own_error():
+    clients, theta = stack_clients([20, 0, 20])
+    with pytest.raises(TrainingError, match=r"^round 1, client 1: cannot train on an empty dataset$"):
+        clients.updates(theta, [0, 1, 2], 1)
+
+
+def test_many_one_batch_clients_make_one_sgd_call_per_epoch(monkeypatch):
+    # 100 selected clients of 20 records each: one stack, so a fallback to
+    # training them one at a time would make 100 calls per epoch
+    from fedsim import model
+    calls = []
+    orig = model.loss_and_grad
+    def counting(params, x, y):
+        calls.append(x.shape)
+        return orig(params, x, y)
+    monkeypatch.setattr(model, "loss_and_grad", counting)
+    cfg = SimConfig(n_clients=500, shards=500, aggregator="fedavg", attack="none", rounds=1)
+    run_experiment(cfg)
+    assert len(calls) == cfg.epochs
+    assert calls[0] == (100, 20, cfg.input_dim)
 
 
 def test_csv_write_and_header(tmp_path):

@@ -1,13 +1,18 @@
 """Model core: shapes, forward, analytic gradients, local SGD."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.data import LabeledDataset
 from fedsim.errors import ShapeError, TrainingError
 from fedsim.model import (
     ModelParams,
     forward,
+    full_batch_train,
     init_model,
     last_layer_weight_block,
     local_train,
@@ -63,6 +68,25 @@ def test_layer_views_write_through_to_flat():
         b[...] = 2 * k + 2
     sizes = (15, 5, 10, 2)  # w0, b0, w1, b1 in flat order
     assert np.array_equal(model.flat, np.repeat([1.0, 2.0, 3.0, 4.0], sizes))
+    # the views are built once, so .flat cannot be rebound; writes into it still land
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.flat = np.zeros(param_dim(shapes))
+    model.flat[:15] = -1.0
+    assert np.all(model.layers()[0][0] == -1.0)
+
+
+def test_stacked_layer_views_keep_the_leading_axes():
+    shapes = [(5, 3), (2, 5)]
+    stack = ModelParams(np.arange(3 * 4 * param_dim(shapes), dtype=float).reshape(3, 4, -1), shapes)
+    assert stack.dim == param_dim(shapes)
+    for (w, b), (rows, cols) in zip(stack.layers(), shapes):
+        assert w.shape == (3, 4, rows, cols) and b.shape == (3, 4, rows)
+        assert np.shares_memory(w, stack.flat) and np.shares_memory(b, stack.flat)
+    one = ModelParams(stack.flat[2, 1], shapes)
+    for (w, b), (w1, b1) in zip(stack.layers(), one.layers()):
+        assert np.array_equal(w[2, 1], w1) and np.array_equal(b[2, 1], b1)
+    with pytest.raises(ShapeError):
+        ModelParams(np.zeros((3, param_dim(shapes) + 1)), shapes)
 
 
 def test_zero_model_uniform_probabilities():
@@ -251,3 +275,61 @@ def test_last_layer_weight_block_view():
     assert np.array_equal(model.layers()[-1][0], block)
     with pytest.raises(ShapeError):
         last_layer_weight_block(model.flat[:-1], model.shapes)
+
+
+# a stack of models is K models side by side: every oracle below compares it
+# byte for byte with one model at a time
+STACKS = dict(k=st.integers(1, 5), n=st.integers(1, 12),
+              hidden=st.sampled_from([(), (6,), (6, 5)]), seed=st.integers(0, 2**32 - 1))
+
+
+def stack_case(k, n, hidden, seed):
+    rng = np.random.default_rng(seed)
+    datasets = [rand_batch(rng, n, 8, 4) for _ in range(k)]
+    return init_model([8, *hidden, 4], seed=seed), datasets
+
+
+@settings(max_examples=60, deadline=None)
+@given(**STACKS)
+def test_stacked_loss_and_grad_equals_one_call_per_model(k, n, hidden, seed):
+    model, datasets = stack_case(k, n, hidden, seed)
+    rng = np.random.default_rng(seed + 1)
+    # k distinct models, one batch each
+    flats = model.flat + 0.3 * rng.standard_normal((k, model.dim))
+    stack = ModelParams(flats, model.shapes)
+    x = np.stack([d.samples for d in datasets])
+    y = np.stack([d.labels for d in datasets])
+    loss, grad = loss_and_grad(stack, x, y)
+    assert loss.shape == (k,) and grad.shape == (k, model.dim)
+    for i, data in enumerate(datasets):
+        loss_i, grad_i = loss_and_grad(ModelParams(flats[i], model.shapes), data.samples, data.labels)
+        assert loss[i] == loss_i
+        assert grad[i].tobytes() == grad_i.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**STACKS, extra=st.integers(0, 60), epochs=st.integers(1, 4))
+def test_full_batch_train_rows_equal_local_train_alone(k, n, hidden, seed, extra, epochs):
+    model, datasets = stack_case(k, n, hidden, seed)
+    lr = 0.3
+    rows = full_batch_train(model, datasets, epochs, lr)
+    assert rows.shape == (k, model.dim)
+    for row, data in zip(rows, datasets):
+        # any batch size that holds the whole dataset trains it in one step per epoch
+        assert row.tobytes() == local_train(model, data, epochs, lr, n + extra, seed).tobytes()
+        # and that step is plain full-batch SGD written out with one-model calls
+        theta, delta = model.copy(), np.zeros(model.dim)
+        for _ in range(epochs):
+            _, grad = loss_and_grad(theta, data.samples, data.labels)
+            delta = delta - lr * grad
+            theta = ModelParams(model.flat + delta, model.shapes)
+        assert row.tobytes() == delta.tobytes()
+
+
+def test_full_batch_train_needs_datasets_of_one_size():
+    rng = np.random.default_rng(13)
+    model = init_model([8, 6, 4], seed=3)
+    with pytest.raises(ShapeError):
+        full_batch_train(model, [rand_batch(rng, 5, 8, 4), rand_batch(rng, 6, 8, 4)], 1, 0.1)
+    with pytest.raises(ShapeError):
+        full_batch_train(model, [], 1, 0.1)
