@@ -10,7 +10,7 @@ class-sufficiency inference.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,14 +124,16 @@ def _weighted_grad(
     return grad / total
 
 
-def sybil_updates(leader: np.ndarray, colluders: Sequence[int]) -> List[np.ndarray]:
-    """One update per selected colluder, all byte-identical to the leader's."""
-    return [leader.copy() for _ in colluders]
+def sybil_updates(leader: np.ndarray, colluders: Sequence[int]) -> np.ndarray:
+    """One row per selected colluder, each byte-identical to the leader's update."""
+    return np.tile(leader, (len(colluders), 1))
 
 
-def forge_full_claim(
-    delta: np.ndarray, shapes: Shapes, cfg: SimConfig, margin: float = 1.0
-) -> np.ndarray:
+# how far the forged indicator clears the threshold it has to beat
+FORGE_MARGIN = 1.0
+
+
+def forge_full_claim(delta: np.ndarray, shapes: Shapes, cfg: SimConfig) -> np.ndarray:
     """Rank-1 edit of the last-layer weight block inflating the class indicator.
 
     Adds the same constant to every row sum of the recovered gradient's
@@ -147,7 +149,7 @@ def forge_full_claim(
         target = cfg.beta
     else:
         target = float(u.max())
-    shift = target + margin - float(u.min())
+    shift = target + FORGE_MARGIN - float(u.min())
     if shift > 0.0:
         rows, cols = shapes[-1]
         block = last_layer_weight_block(delta, shapes)

@@ -1,6 +1,6 @@
 """Reference robust aggregators: FedAvg, Krum, Median, Trimmed Mean, FLTrust.
 
-Each takes the round's update vectors and returns one aggregate update for
+Each takes the round's (n, d) update matrix and returns one aggregate update for
 the server to apply. All are pure and order-invariant apart from Krum's
 documented lowest-index tie rule.
 """
@@ -14,7 +14,8 @@ from .trust import ZERO_NORM_EPS
 
 
 def _stack(updates) -> np.ndarray:
-    mat = np.stack([np.asarray(u, dtype=np.float64) for u in updates])
+    """The (n, d) update matrix itself, not a copy, when it already is one."""
+    mat = np.asarray(updates, dtype=np.float64)
     if mat.ndim != 2:
         raise ShapeError("updates must be flat vectors")
     return mat

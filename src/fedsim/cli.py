@@ -31,7 +31,7 @@ def _runs(cfg: SimConfig, plan: List[Tuple[Path, Dict[str, str]]]) -> Iterator[D
 
 def _mean_summary(per_seed: List[Dict[str, object]]) -> Dict[str, object]:
     keys = ("final_accuracy", "final_asr", "mean_inference_accuracy",
-            "mean_malicious_trust", "mean_honest_trust")
+            "mean_malicious_trust", "mean_honest_trust", "malicious_updates")
     out: Dict[str, object] = {
         "seeds": [s["seed"] for s in per_seed],
         "aggregator": per_seed[0]["aggregator"],

@@ -9,7 +9,7 @@ the non-IID degree (0 = IID, 1 = fully label-skewed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -93,20 +93,12 @@ def class_means(m: int, r_in: int, seed: int) -> np.ndarray:
     return mu
 
 
-def gen_dataset(
-    m: int,
-    r_in: int,
-    per_class: int,
-    seed: int,
-    means: Optional[np.ndarray] = None,
-) -> LabeledDataset:
-    """per_class samples from each of m Gaussian classes (sigma = 1).
+def gen_dataset(m: int, r_in: int, per_class: int, seed: int, means: np.ndarray) -> LabeledDataset:
+    """per_class samples from each of m Gaussian classes (sigma = 1) around `means`.
 
-    Passing `means` reuses a fixed set of class centers so train/test/aux
-    splits drawn with different seeds describe the same task.
+    One set of class centers (`class_means`) shared by the train/test/aux
+    splits, drawn with different seeds, makes them describe the same task.
     """
-    if means is None:
-        means = class_means(m, r_in, seed)
     means = np.asarray(means, dtype=np.float64)
     if means.shape != (m, r_in):
         raise ShapeError("means shape must be (m, r_in)")

@@ -139,6 +139,7 @@ class ExperimentResult:
         inf_acc = [r.inference_accuracy for r in self.records if r.inference_accuracy is not None]
         mal = [r.malicious_trust for r in self.records if r.malicious_trust is not None]
         hon = [r.honest_trust for r in self.records if r.honest_trust is not None]
+        mal_ids = set(self.config.malicious_ids)
         return {
             "rounds": len(self.records),
             "final_accuracy": last.accuracy,
@@ -147,6 +148,8 @@ class ExperimentResult:
             "mean_inference_accuracy": float(np.mean(inf_acc)) if inf_acc else None,
             "mean_malicious_trust": float(np.mean(mal)) if mal else None,
             "mean_honest_trust": float(np.mean(hon)) if hon else None,
+            # attacker updates that reached the aggregator; 0 means the attack was inert
+            "malicious_updates": sum(len(mal_ids.intersection(r.selected)) for r in self.records),
             "aggregator": self.config.aggregator,
             "attack": self.config.attack,
             "seed": self.config.seed,
@@ -162,9 +165,10 @@ def write_csv(records: Sequence[RoundRecord], path: Path | str) -> None:
             fh.write(rec.to_csv_row() + "\n")
 
 
-# One round of server-side aggregation: (theta, updates in selection order,
-# selected ids, round) -> (new theta, the round's record before evaluation).
-Aggregator = Callable[[ModelParams, List[np.ndarray], List[int], int],
+# One round of server-side aggregation: (theta, the (n, d) update matrix whose
+# row i is selected[i]'s update, selected ids, round) -> (new theta, the
+# round's record before evaluation).
+Aggregator = Callable[[ModelParams, np.ndarray, List[int], int],
                       Tuple[ModelParams, RoundRecord]]
 
 
@@ -236,47 +240,47 @@ class _Clients:
         # attacker id -> its poison pool; empty when nobody attacks
         self.pools = _build_attack_pools(cfg, trigger, partitions) if cfg.malicious_ids else {}
 
-    def updates(self, theta: ModelParams, selected: Sequence[int], t: int) -> List[np.ndarray]:
-        """One update per selected client, in selection order.
+    def updates(self, theta: ModelParams, selected: Sequence[int], t: int) -> np.ndarray:
+        """The round's update matrix: row i is client selected[i]'s update, shape (n, d).
 
         Honest clients whose data fit in one batch train first, as one
         stacked model per data size; that is byte for byte their own
         `local_train`. Sybil colluders all submit copies of one update,
-        trained when the first of them comes up. A failure names the client
-        being trained.
+        trained when the first of them comes up. Every row is checked to be
+        finite, and a failure names the client whose row it is.
         """
         cfg = self.cfg
         stacks: Dict[int, List[int]] = {}
-        for cid in selected:
+        for i, cid in enumerate(selected):
             size = self.partitions[cid].size
             if cid not in self.pools and 1 <= size <= cfg.batch_size:
-                stacks.setdefault(size, []).append(cid)
-        updates: Dict[int, np.ndarray] = {}
-        for members in stacks.values():
-            rows = full_batch_train(theta, [self.partitions[cid] for cid in members],
-                                    cfg.epochs, cfg.lr_client)
-            for cid, row in zip(members, rows):
-                try:
-                    updates[cid] = finite_update(row)
-                except TrainingError as exc:
-                    raise TrainingError(f"round {t}, client {cid}: {exc}") from exc
-        for cid in selected:
-            if cid in updates:
-                continue  # stacked, or a sybil copy made with its leader's update
+                stacks.setdefault(size, []).append(i)
+        trained = [(rows, full_batch_train(theta, [self.partitions[selected[i]] for i in rows],
+                                           cfg.epochs, cfg.lr_client)) for rows in stacks.values()]
+        # allocated once the stacks' training buffers are freed, so they never coexist
+        U = np.empty((len(selected), theta.dim))
+        filled = np.zeros(len(selected), dtype=bool)
+        for rows, block in trained:
+            U[rows] = block
+            filled[rows] = True
+        for i, cid in enumerate(selected):
             try:
-                if cid not in self.pools:
-                    updates[cid] = local_train(
-                        theta, self.partitions[cid], cfg.epochs, cfg.lr_client,
-                        cfg.batch_size, derive_seed(cfg.seed, _CLIENT, t, cid))
+                if filled[i]:
+                    pass  # stacked, or a sybil copy made with its leader's update
+                elif cid not in self.pools:
+                    U[i] = local_train(theta, self.partitions[cid], cfg.epochs, cfg.lr_client,
+                                       cfg.batch_size, derive_seed(cfg.seed, _CLIENT, t, cid))
                 elif cfg.attack == "sybil":
                     leader = self._attack("alternate", theta, cid, t)
-                    colluders = [c for c in selected if c in self.pools]
-                    updates.update(zip(colluders, attacks.sybil_updates(leader, colluders)))
+                    rows = [j for j, c in enumerate(selected) if c in self.pools]
+                    U[rows] = attacks.sybil_updates(leader, rows)
+                    filled[rows] = True
                 else:
-                    updates[cid] = self._attack(cfg.attack, theta, cid, t)
+                    U[i] = self._attack(cfg.attack, theta, cid, t)
+                finite_update(U[i])
             except (ShapeError, TrainingError) as exc:
                 raise type(exc)(f"round {t}, client {cid}: {exc}") from exc
-        return [updates[cid] for cid in selected]
+        return U
 
     def _attack(self, kind: str, theta: ModelParams, cid: int, t: int) -> np.ndarray:
         cfg, clean, pool = self.cfg, self.partitions[cid], self.pools[cid]
@@ -311,8 +315,8 @@ class ClusterVote:
         self.indicator_sum = np.zeros((cfg.n_clients, cfg.num_classes))
         self.indicator_obs = np.zeros(cfg.n_clients, dtype=np.int64)
 
-    def observe(self, client_id: int, u: np.ndarray) -> np.ndarray:
-        """Fold one round's indicator into the client's running estimate.
+    def observe(self, selected: Sequence[int], indicators: np.ndarray) -> np.ndarray:
+        """Fold one round's indicators, row i for selected[i], into the running estimates.
 
         Raw sums weight observations by their gradient scale, so the
         high-signal early rounds (large residuals) dominate and later
@@ -320,25 +324,22 @@ class ClusterVote:
         static, so the profile freezes once the cap is reached. Relative
         threshold modes are scale-free and read the sum directly; the
         absolute mode gets the per-observation mean since its threshold
-        carries units.
+        carries units. Returns the selected clients' estimates, one row each.
         """
-        if self.indicator_obs[client_id] < self.cfg.indicator_obs_cap:
-            self.indicator_sum[client_id] += u
-            self.indicator_obs[client_id] += 1
+        selected = np.asarray(selected)
+        fresh = self.indicator_obs[selected] < self.cfg.indicator_obs_cap
+        self.indicator_sum[selected[fresh]] += indicators[fresh]
+        self.indicator_obs[selected[fresh]] += 1
         if self.cfg.threshold_mode == "absolute":
-            return self.indicator_sum[client_id] / self.indicator_obs[client_id]
-        return self.indicator_sum[client_id]
+            return self.indicator_sum[selected] / self.indicator_obs[selected, None]
+        return self.indicator_sum[selected]
 
-    def __call__(self, theta: ModelParams, updates: List[np.ndarray],
+    def __call__(self, theta: ModelParams, U: np.ndarray,
                  selected: List[int], t: int) -> Tuple[ModelParams, RoundRecord]:
         cfg = self.cfg
-        shapes = theta.shapes
-        indicators = [
-            inference.class_indicator(
-                inference.recover_last_layer_gradient(d, shapes, cfg.lr_client))
-            for d in updates
-        ]
-        smoothed = [self.observe(cid, u) for cid, u in zip(selected, indicators)]
+        indicators = inference.class_indicator(
+            inference.recover_last_layer_gradient(U, theta.shapes, cfg.lr_client))
+        smoothed = self.observe(selected, indicators)
         A_hat = np.stack([inference.infer_column(u, cfg.threshold_mode, cfg.beta)
                           for u in smoothed], axis=1)
         inf_acc = inference.distribution_accuracy(self.ground_truth[:, selected], A_hat)
@@ -349,10 +350,9 @@ class ClusterVote:
 
         votes = np.zeros(len(selected), dtype=np.int64)
         if "gradient" in cfg.voting_metrics:
-            votes += trust.cluster_votes(x, updates, k_vote)
+            votes += trust.cluster_votes(x, U, k_vote)
         if "representation" in cfg.voting_metrics:
-            reps = [representation(ModelParams(theta.flat + d, list(shapes)), self.aux_rep)
-                    for d in updates]
+            reps = representation(ModelParams(theta.flat + U, theta.shapes), self.aux_rep)
             votes += trust.cluster_votes(x, reps, k_vote)
 
         prev = self.ledger.immediate  # last round's map; update() replaces it
@@ -364,7 +364,7 @@ class ClusterVote:
         if not flagged:
             theta = trust.aggregate(
                 theta,
-                [updates[i] for i in surviving],
+                U[surviving],
                 [accumulated[i] for i in surviving],
                 cfg.lr_server,
                 toward_clients=not cfg.strict_paper_sign,
@@ -398,7 +398,7 @@ def _baseline_round(
     cfg: SimConfig,
     aux: LabeledDataset,
     theta: ModelParams,
-    updates: List[np.ndarray],
+    updates: np.ndarray,
     selected: List[int],
     t: int,
 ) -> Tuple[ModelParams, RoundRecord]:

@@ -25,19 +25,20 @@ def recover_last_layer_gradient(
     """Accumulated last-layer weight gradient implied by an SGD update.
 
     delta = -lr * sum of per-step gradients, so the accumulated gradient is
-    -delta_block / lr. The bias block is ignored.
+    -delta_block / lr. The bias block is ignored. An (n, d) matrix of
+    updates gives one (m, h) block per row.
     """
     return -last_layer_weight_block(delta, shapes) / lr
 
 
 def class_indicator(G: np.ndarray) -> np.ndarray:
-    """Negated row sums of the accumulated gradient; larger means more samples."""
+    """Negated row sums of the accumulated gradient (..., m, h); larger means more samples."""
     G = np.asarray(G, dtype=np.float64)
-    if G.ndim != 2:
-        raise ShapeError("gradient block must be 2-D")
+    if G.ndim < 2:
+        raise ShapeError("gradient block must be at least 2-D")
     if not np.all(np.isfinite(G)):
         raise ShapeError("gradient block contains non-finite values")
-    return -G.sum(axis=1)
+    return -G.sum(axis=-1)
 
 
 def infer_column(u: np.ndarray, threshold_mode: str, beta: float) -> np.ndarray:

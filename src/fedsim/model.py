@@ -260,11 +260,11 @@ def local_train(
 
 
 def representation(params: ModelParams, aux: LabeledDataset) -> np.ndarray:
-    """Mean penultimate activation over the auxiliary samples."""
+    """Mean penultimate activation over the auxiliary samples, one row per model of a stack."""
     if aux.size < 1:
         raise ShapeError("auxiliary batch must be non-empty")
     _, pen = forward(params, aux.samples)
-    return pen.mean(axis=0)
+    return pen.mean(axis=-2)
 
 
 def last_layer_weight_block(flat: np.ndarray, shapes: Sequence[Tuple[int, int]]) -> np.ndarray:

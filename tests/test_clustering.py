@@ -13,7 +13,7 @@ from fedsim.clustering import (
     greedy_cluster,
     membership_histograms,
 )
-from fedsim.data import gen_dataset, ground_truth_abstract, partition_noniid
+from fedsim.data import class_means, gen_dataset, ground_truth_abstract, partition_noniid
 
 
 def removed(A, x):
@@ -73,7 +73,7 @@ def test_thresholds_boundary_client_counts_full_share():
 
 
 def test_thresholds_match_independent_formula_on_desk_partition():
-    ds = gen_dataset(10, 32, 1000, seed=1)
+    ds = gen_dataset(10, 32, 1000, seed=1, means=class_means(10, 32, 1))
     parts = partition_noniid(ds, 50, p=0.4, shards=250, seed=7)
     A = ground_truth_abstract(parts, tau=20)
     per_client, per_cluster = compute_thresholds(A)

@@ -24,14 +24,14 @@ def sorted_rows(ds):
 
 
 def test_gen_counts_and_shape():
-    ds = gen_dataset(10, 32, 100, seed=0)
+    ds = gen_dataset(10, 32, 100, seed=0, means=class_means(10, 32, 0))
     assert ds.samples.shape == (1000, 32)
     assert np.all(ds.class_counts() == 100)
 
 
 def test_gen_deterministic():
-    a = gen_dataset(10, 32, 50, seed=3)
-    b = gen_dataset(10, 32, 50, seed=3)
+    a = gen_dataset(10, 32, 50, seed=3, means=class_means(10, 32, 3))
+    b = gen_dataset(10, 32, 50, seed=3, means=class_means(10, 32, 3))
     assert np.array_equal(a.samples, b.samples) and np.array_equal(a.labels, b.labels)
 
 
@@ -75,12 +75,12 @@ def softmax_regression_train_acc(ds, epochs=20, lr=0.5, bs=64):
 
 
 def test_task_linearly_learnable():
-    ds = gen_dataset(10, 32, 1000, seed=1)
+    ds = gen_dataset(10, 32, 1000, seed=1, means=class_means(10, 32, 1))
     assert softmax_regression_train_acc(ds) >= 0.9
 
 
 def test_partition_uniform_case():
-    ds = gen_dataset(10, 32, 1000, seed=2)
+    ds = gen_dataset(10, 32, 1000, seed=2, means=class_means(10, 32, 2))
     parts = partition_noniid(ds, 50, p=0.0, shards=250, seed=0)
     sizes = np.array([p.size for p in parts])
     assert np.all(sizes == 200)
@@ -89,14 +89,14 @@ def test_partition_uniform_case():
 
 
 def test_partition_fully_skewed_degenerate():
-    ds = gen_dataset(10, 16, 100, seed=4)
+    ds = gen_dataset(10, 16, 100, seed=4, means=class_means(10, 16, 4))
     parts = partition_noniid(ds, 10, p=1.0, shards=10, seed=0)
     for part in parts:
         assert np.unique(part.labels).size == 1
 
 
 def test_partition_desk_totals_and_dominance():
-    ds = gen_dataset(10, 32, 1000, seed=1)
+    ds = gen_dataset(10, 32, 1000, seed=1, means=class_means(10, 32, 1))
     parts = partition_noniid(ds, 50, p=0.4, shards=250, seed=7)
     assert all(p.size == 200 for p in parts)
     col_sums = ground_truth_abstract(parts, tau=20).sum(axis=0)
@@ -105,7 +105,7 @@ def test_partition_desk_totals_and_dominance():
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
 def test_partition_conservation(p):
-    ds = gen_dataset(6, 12, 60, seed=5)
+    ds = gen_dataset(6, 12, 60, seed=5, means=class_means(6, 12, 5))
     parts = partition_noniid(ds, 6, p=p, shards=12, seed=11)
     union = concat_datasets(parts)
     xs, ys = sorted_rows(union)
@@ -114,7 +114,7 @@ def test_partition_conservation(p):
 
 
 def test_partition_monotone_skew():
-    ds = gen_dataset(10, 32, 500, seed=6)
+    ds = gen_dataset(10, 32, 500, seed=6, means=class_means(10, 32, 6))
     for seed in (1, 2, 3):
         spreads = []
         for p in (0.0, 0.4, 0.8, 1.0):
@@ -131,14 +131,14 @@ def test_partition_shard_divisibility_error():
 
 
 def test_ground_truth_trivial_cases():
-    ds = gen_dataset(10, 32, 500, seed=2)
+    ds = gen_dataset(10, 32, 500, seed=2, means=class_means(10, 32, 2))
     parts = partition_noniid(ds, 10, p=0.0, shards=50, seed=0)
     assert np.all(ground_truth_abstract(parts, tau=0) == 1)
     assert np.all(ground_truth_abstract(parts, tau=10_000) == 0)
 
 
 def test_ground_truth_matches_counting_oracle():
-    ds = gen_dataset(10, 32, 500, seed=3)
+    ds = gen_dataset(10, 32, 500, seed=3, means=class_means(10, 32, 3))
     parts = partition_noniid(ds, 25, p=0.5, shards=50, seed=1)
     A = ground_truth_abstract(parts, tau=30)
     assert A.dtype == np.uint8 and A.shape == (10, 25)
@@ -168,7 +168,7 @@ def test_trigger_parts_contiguous():
 def test_triggered_samples_on_clean_model_rarely_hit_target():
     # no-attack floor: a model that never saw the trigger should almost
     # never send triggered samples to the target label
-    ds = gen_dataset(10, 32, 400, seed=1)
+    ds = gen_dataset(10, 32, 400, seed=1, means=class_means(10, 32, 1))
     m, d = 10, 32
     W = np.zeros((m, d))
     b = np.zeros(m)

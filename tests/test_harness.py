@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.cli import main
 from fedsim.config import SimConfig
@@ -54,7 +56,7 @@ def test_select_long_run_frequencies():
 
 
 def test_evaluate_uniform_model_chance_accuracy():
-    test = gen_dataset(10, 32, 50, seed=1)
+    test = gen_dataset(10, 32, 50, seed=1, means=class_means(10, 32, 1))
     shapes = [(64, 32), (10, 64)]
     model = ModelParams(np.zeros(param_dim(shapes)), shapes)
     trig = TriggerPattern((0, 1), (3.0, -3.0), 0)
@@ -63,7 +65,7 @@ def test_evaluate_uniform_model_chance_accuracy():
 
 
 def test_evaluate_target_hardwired_model_flagged():
-    test = gen_dataset(4, 12, 25, seed=2)
+    test = gen_dataset(4, 12, 25, seed=2, means=class_means(4, 12, 2))
     shapes = [(4, 12)]
     flat = np.zeros(param_dim(shapes))
     model = ModelParams(flat, shapes)
@@ -213,6 +215,64 @@ def test_empty_partition_keeps_its_own_error():
     clients, theta = stack_clients([20, 0, 20])
     with pytest.raises(TrainingError, match=r"^round 1, client 1: cannot train on an empty dataset$"):
         clients.updates(theta, [0, 1, 2], 1)
+
+
+# clients 0 and 1 attack; 2, 3 and 6 stack, and so do 4 and 7; 5 holds three batches of 16
+MIXED_SIZES = [30, 30, 10, 10, 12, 40, 10, 12]
+
+
+@settings(max_examples=15, deadline=None)
+@given(attack=st.sampled_from(["basic", "dba", "alternate", "adaptive", "sybil"]),
+       t=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
+def test_update_matrix_rows_are_each_clients_own_update(attack, t, seed):
+    from fedsim import attacks, harness
+    cfg = tiny_cfg(attack=attack, n_clients=8, shards=8, batch_size=16)
+    rng = np.random.default_rng(seed)
+    parts = [LabeledDataset(rng.standard_normal((n, cfg.input_dim)),
+                            rng.integers(0, cfg.num_classes, n), cfg.num_classes)
+             for n in MIXED_SIZES]
+    trigger = TriggerPattern(cfg.trigger_indices, cfg.trigger_values, cfg.trigger_target)
+    clients = harness._Clients(cfg, parts, trigger)
+    theta = init_model(cfg.layer_dims, seed=1, zero_last=True)
+    selected = list(range(8))
+    U = clients.updates(theta, selected, t)
+    assert U.dtype == np.float64 and U.shape == (8, theta.dim) and U.flags.c_contiguous
+
+    def own(cid):
+        """cid's update trained alone, as the attack functions define it."""
+        train_seed = harness.derive_seed(cfg.seed, harness._CLIENT, t, cid)
+        if cid not in clients.pools:
+            return local_train(theta, parts[cid], cfg.epochs, cfg.lr_client, cfg.batch_size,
+                               train_seed)
+        if attack in ("basic", "dba"):
+            return attacks.basic_attack(theta, parts[cid], clients.pools[cid], cfg, train_seed)
+        if attack == "sybil":
+            return own_alternate(0)  # every colluder submits the first one's update
+        return own_alternate(cid)
+
+    def own_alternate(cid):
+        benign = local_train(theta, parts[cid], cfg.epochs, cfg.lr_client, cfg.batch_size,
+                             harness.derive_seed(cfg.seed, harness._BENIGN, t, cid))
+        kind = attacks.adaptive_attack if attack == "adaptive" else attacks.alternate_attack
+        return kind(theta, parts[cid], clients.pools[cid], benign, cfg,
+                    harness.derive_seed(cfg.seed, harness._CLIENT, t, cid))
+
+    for i, cid in enumerate(selected):
+        assert U[i].tobytes() == own(cid).tobytes()
+    if attack == "sybil":
+        assert U[1].tobytes() == U[0].tobytes()
+
+
+def test_summary_counts_the_attacker_updates_aggregated(tmp_path):
+    inert = run_and_write(tiny_cfg(attack="sybil", num_malicious=0, rounds=2), tmp_path)
+    assert inert["malicious_updates"] == 0
+    cfg = tiny_cfg(attack="basic", aggregator="fedavg", rounds=3)
+    summary = run_and_write(cfg, tmp_path)
+    lines = (tmp_path / "rounds_fedavg_basic_seed1.csv").read_text().splitlines()
+    column = lines[0].split(",").index("selected")
+    counted = sum(int(cid) in cfg.malicious_ids
+                  for line in lines[1:] for cid in line.split(",")[column].split(";"))
+    assert summary["malicious_updates"] == counted > 0
 
 
 def test_many_one_batch_clients_make_one_sgd_call_per_epoch(monkeypatch):

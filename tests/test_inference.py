@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.config import SimConfig
 from fedsim.data import LabeledDataset, class_means, gen_dataset
@@ -167,3 +169,19 @@ def test_indicator_rejects_non_finite():
     G[1, 1] = np.nan
     with pytest.raises(ShapeError):
         class_indicator(G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 12), hidden=st.sampled_from([(), (6,), (6, 5)]),
+       lr=st.sampled_from([0.05, 0.3, 2.0]), seed=st.integers(0, 2**32 - 1))
+def test_indicators_of_an_update_matrix_equal_one_call_per_row(k, hidden, lr, seed):
+    # the defense reads every client's indicator from the round's (k, d) update matrix at once
+    model = init_model([8, *hidden, 5], seed=0)
+    shapes = model.shapes
+    U = np.random.default_rng(seed).standard_normal((k, model.dim))
+    G = recover_last_layer_gradient(U, shapes, lr)
+    u = class_indicator(G)
+    assert G.shape == (k, 5, shapes[-1][1]) and u.shape == (k, 5)
+    for i in range(k):
+        alone = class_indicator(recover_last_layer_gradient(U[i], shapes, lr))
+        assert u[i].tobytes() == alone.tobytes()

@@ -333,3 +333,19 @@ def test_full_batch_train_needs_datasets_of_one_size():
         full_batch_train(model, [rand_batch(rng, 5, 8, 4), rand_batch(rng, 6, 8, 4)], 1, 0.1)
     with pytest.raises(ShapeError):
         full_batch_train(model, [], 1, 0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 12), n=st.integers(1, 9), hidden=st.sampled_from([(6,), (6, 5)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_representation_of_a_stack_equals_one_call_per_model(k, n, hidden, seed):
+    # the defense's representation vote: one call on theta + U, the (k, d) update matrix
+    rng = np.random.default_rng(seed)
+    theta = init_model([8, *hidden, 4], seed=seed)
+    U = 0.3 * rng.standard_normal((k, theta.dim))
+    aux = rand_batch(rng, n, 8, 4)
+    reps = representation(ModelParams(theta.flat + U, theta.shapes), aux)
+    assert reps.shape == (k, hidden[-1])
+    for i in range(k):
+        alone = representation(ModelParams(theta.flat + U[i], theta.shapes), aux)
+        assert reps[i].tobytes() == alone.tobytes()
