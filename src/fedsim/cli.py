@@ -29,15 +29,18 @@ def _runs(cfg: SimConfig, plan: List[Tuple[Path, Dict[str, str]]]) -> Iterator[D
     return (run_and_write(run_cfg, out) for out, run_cfg in cfgs)
 
 
+# the summary metrics that a mean over seeds averages and the report prints
+SUMMARY_METRICS = ("final_accuracy", "final_asr", "mean_inference_accuracy",
+                   "mean_malicious_trust", "mean_honest_trust", "malicious_updates")
+
+
 def _mean_summary(per_seed: List[Dict[str, object]]) -> Dict[str, object]:
-    keys = ("final_accuracy", "final_asr", "mean_inference_accuracy",
-            "mean_malicious_trust", "mean_honest_trust", "malicious_updates")
     out: Dict[str, object] = {
         "seeds": [s["seed"] for s in per_seed],
         "aggregator": per_seed[0]["aggregator"],
         "attack": per_seed[0]["attack"],
     }
-    for key in keys:
+    for key in SUMMARY_METRICS:
         values = [s[key] for s in per_seed if s.get(key) is not None]
         out[key] = float(np.mean(values)) if values else None
     return out
@@ -95,18 +98,16 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"no summaries under {root}", file=sys.stderr)
         return 1
 
-    def fmt(value, width, prec):
-        if isinstance(value, (int, float)):
-            return f"{value:{width}.{prec}f}"
-        return " " * width
+    def cell(value, width):
+        if isinstance(value, float):
+            return f"{value:{width}.5f}"
+        return f"{value:{width}d}" if isinstance(value, int) else " " * width
 
-    print(f"{'run':42s} {'accuracy':>9s} {'asr':>7s} {'mal_trust':>10s}")
+    print(" ".join([f"{'run':42s}"] + [f"{key:>{len(key)}s}" for key in SUMMARY_METRICS]))
     for path in summaries:
         s = json.loads(path.read_text())
         name = path.stem.removeprefix("summary_")
-        print(f"{name:42s} {fmt(s.get('final_accuracy'), 9, 4)} "
-              f"{fmt(s.get('final_asr'), 7, 4)} "
-              f"{fmt(s.get('mean_malicious_trust'), 10, 5)}")
+        print(" ".join([f"{name:42s}"] + [cell(s.get(key), len(key)) for key in SUMMARY_METRICS]))
     return 0
 
 

@@ -81,6 +81,8 @@ class SimConfig:
     def __post_init__(self):
         """Reject every bad value or combination before a run generates any data."""
         for f in fields(self):
+            if get_origin(_FIELD_TYPES[f.name]) is tuple:  # a list too, so to_text can write it
+                setattr(self, f.name, tuple(getattr(self, f.name)))
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite")

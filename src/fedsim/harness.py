@@ -310,7 +310,6 @@ class ClusterVote:
         self.ground_truth = ground_truth
         # representation features use one fixed auxiliary class
         self.aux_rep = aux.subset(np.flatnonzero(aux.labels == 0))
-        self.malicious = set(cfg.malicious_ids)
         self.ledger = trust.TrustLedger(cfg.n_clients, cfg.gamma)
         self.indicator_sum = np.zeros((cfg.n_clients, cfg.num_classes))
         self.indicator_obs = np.zeros(cfg.n_clients, dtype=np.int64)
@@ -340,8 +339,7 @@ class ClusterVote:
         indicators = inference.class_indicator(
             inference.recover_last_layer_gradient(U, theta.shapes, cfg.lr_client))
         smoothed = self.observe(selected, indicators)
-        A_hat = np.stack([inference.infer_column(u, cfg.threshold_mode, cfg.beta)
-                          for u in smoothed], axis=1)
+        A_hat = inference.infer_column(smoothed, cfg.threshold_mode, cfg.beta).T
         inf_acc = inference.distribution_accuracy(self.ground_truth[:, selected], A_hat)
 
         per_client, per_cluster = clustering.compute_thresholds(A_hat)
@@ -355,39 +353,34 @@ class ClusterVote:
             reps = representation(ModelParams(theta.flat + U, theta.shapes), self.aux_rep)
             votes += trust.cluster_votes(x, reps, k_vote)
 
-        prev = self.ledger.immediate  # last round's map; update() replaces it
+        prev = self.ledger.immediate  # last round's array; update() replaces it
         accumulated = self.ledger.update(selected, votes)
         discard = trust.median_discard(prev, selected)
 
-        surviving = [i for i, cid in enumerate(selected) if cid not in discard]
-        flagged = len(surviving) == 0
+        kept = ~discard
+        flagged = not kept.any()
         if not flagged:
-            theta = trust.aggregate(
-                theta,
-                U[surviving],
-                [accumulated[i] for i in surviving],
-                cfg.lr_server,
-                toward_clients=not cfg.strict_paper_sign,
-            )
+            theta = trust.aggregate(theta, U[kept], accumulated[kept], cfg.lr_server,
+                                    toward_clients=not cfg.strict_paper_sign)
 
         sizes, memberships = clustering.membership_histograms(x)
-        mal_idx = [i for i, cid in enumerate(selected) if cid in self.malicious]
-        hon_idx = [i for i, cid in enumerate(selected) if cid not in self.malicious]
+        ids = np.asarray(selected)
+        mal = np.isin(ids, cfg.malicious_ids)
         record = RoundRecord(
             round=t,
             selected=list(selected),
-            discarded=sorted(discard),
+            discarded=ids[discard].tolist(),
             inference_accuracy=inf_acc,
             per_client_cap=per_client,
             cluster_size_cap=per_cluster,
-            cluster_sizes=list(sizes),
-            memberships=list(memberships),
-            votes=list(int(v) for v in votes),
-            immediate=[self.ledger.immediate[cid] for cid in selected],
-            accumulated=[float(v) for v in accumulated],
-            malicious_trust=float(np.mean(accumulated[mal_idx])) if mal_idx else None,
-            honest_trust=float(np.mean(accumulated[hon_idx])) if hon_idx else None,
-            inferred_columns=["".join(str(b) for b in A_hat[:, i]) for i in range(len(selected))],
+            cluster_sizes=sizes.tolist(),
+            memberships=memberships.tolist(),
+            votes=votes.tolist(),
+            immediate=self.ledger.immediate[ids].tolist(),
+            accumulated=accumulated.tolist(),
+            malicious_trust=float(np.mean(accumulated[mal])) if mal.any() else None,
+            honest_trust=float(np.mean(accumulated[~mal])) if not mal.all() else None,
+            inferred_columns=["".join(str(b) for b in column) for column in A_hat.T],
             indicators=["|".join(f"{v:.9g}" for v in u) for u in indicators],
             flagged=flagged,
         )
@@ -415,7 +408,7 @@ def _baseline_round(
         server = local_train(theta, aux, cfg.epochs, cfg.lr_client, cfg.batch_size,
                              derive_seed(cfg.seed, _SERVER, t))
         step = baselines.fltrust(updates, server)
-    return ModelParams(theta.flat + step, list(theta.shapes)), RoundRecord(t, selected)
+    return ModelParams(theta.flat + step, theta.shapes), RoundRecord(t, selected)
 
 
 def run_and_write(cfg: SimConfig, out_dir: Path | str | None = None) -> Dict[str, object]:

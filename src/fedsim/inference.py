@@ -42,16 +42,16 @@ def class_indicator(G: np.ndarray) -> np.ndarray:
 
 
 def infer_column(u: np.ndarray, threshold_mode: str, beta: float) -> np.ndarray:
-    """Sufficiency bits for one client: u strictly above the mode's threshold.
+    """Sufficiency bits, one row per client's indicator row of u: above the mode's threshold.
 
-    "mean" and "mean_plus_std" derive the threshold from u itself; "absolute"
-    uses beta.
+    "mean" and "mean_plus_std" derive each row's threshold from that row;
+    "absolute" uses beta for every row.
     """
     u = np.asarray(u, dtype=np.float64)
     if threshold_mode == "mean":
-        beta = u.mean()
+        beta = u.mean(axis=-1, keepdims=True)
     elif threshold_mode == "mean_plus_std":
-        beta = u.mean() + u.std()
+        beta = u.mean(axis=-1, keepdims=True) + u.std(axis=-1, keepdims=True)
     return (u > beta).astype(np.uint8)
 
 

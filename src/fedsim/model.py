@@ -19,7 +19,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ShapeError, TrainingError
 
-Shapes = List[Tuple[int, int]]
+Shapes = Tuple[Tuple[int, int], ...]
 Layers = Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 
@@ -33,7 +33,8 @@ class ModelParams:
     """Flat parameter vector, or a stack of them, plus the (out, in) shape of every layer.
 
     Frozen, so the layer views cannot go stale: `.flat` cannot be rebound,
-    and writes into it land in the views.
+    and writes into it land in the views. `shapes` is kept as a tuple of
+    (out, in) pairs, so models can share it without copying.
     """
 
     flat: np.ndarray
@@ -49,6 +50,7 @@ class ModelParams:
                 f"shapes {self.shapes} (need a last axis of {need})"
             )
         object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "shapes", tuple(map(tuple, self.shapes)))
         object.__setattr__(self, "_layers", _layer_views(flat, self.shapes))
 
     @property
@@ -64,7 +66,7 @@ class ModelParams:
         return self._layers
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.flat.copy(), list(self.shapes))
+        return ModelParams(self.flat.copy(), self.shapes)
 
 
 def _layer_views(flat: np.ndarray, shapes: Sequence[Tuple[int, int]]) -> Layers:
@@ -90,16 +92,13 @@ def init_model(layer_dims: Sequence[int], seed: int, zero_last: bool = False) ->
     of early updates.
     """
     rng = np.random.default_rng(seed)
-    shapes = [(layer_dims[i + 1], layer_dims[i]) for i in range(len(layer_dims) - 1)]
-    parts = []
-    for li, (rows, cols) in enumerate(shapes):
-        s = np.sqrt(6.0 / (rows + cols))
-        w = rng.uniform(-s, s, size=rows * cols)
-        if zero_last and li == len(shapes) - 1:
-            w = np.zeros(rows * cols)
-        parts.append(w)
-        parts.append(np.zeros(rows))
-    return ModelParams(np.concatenate(parts), shapes)
+    shapes = tuple(zip(layer_dims[1:], layer_dims[:-1]))
+    params = ModelParams(np.zeros(param_dim(shapes)), shapes)
+    layers = params.layers()
+    for w, _ in layers[:-1] if zero_last else layers:
+        s = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = rng.uniform(-s, s, size=w.shape)
+    return params
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -269,4 +268,4 @@ def representation(params: ModelParams, aux: LabeledDataset) -> np.ndarray:
 
 def last_layer_weight_block(flat: np.ndarray, shapes: Sequence[Tuple[int, int]]) -> np.ndarray:
     """View of the final layer's weight matrix inside a flat vector."""
-    return ModelParams(flat, list(shapes)).layers()[-1][0]
+    return ModelParams(flat, shapes).layers()[-1][0]

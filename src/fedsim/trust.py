@@ -12,7 +12,7 @@ round before the surviving updates are averaged direction-wise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Sequence, Set
+from typing import Sequence
 
 import numpy as np
 
@@ -80,54 +80,53 @@ def cluster_votes(
 
 @dataclass
 class TrustLedger:
-    """Per-client trust state carried across rounds.
+    """Per-client trust state carried across rounds, one array entry per client id.
 
     `accumulated_raw` holds the undiscounted-sum recursion acc <- gamma*acc
     + T_now for selected clients (frozen while unselected). `immediate` is
-    the latest round's (client -> immediate trust) map, which the next
-    round's median discard reads.
+    the latest round's immediate trust, NaN for every client that round did
+    not select; the next round's median discard reads it.
     """
 
     num_clients: int
     gamma: float
     accumulated_raw: np.ndarray = field(init=False)
-    immediate: Dict[int, float] = field(init=False, default_factory=dict)
+    immediate: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.accumulated_raw = np.zeros(self.num_clients)
+        self.immediate = np.full(self.num_clients, np.nan)
 
     def update(self, selected: Sequence[int], K_selected: np.ndarray) -> np.ndarray:
         """Record a round's votes; returns normalized accumulated trust per selected client.
 
         Immediate trust T is the softmax of the vote counts; for clients
         selected in every round the result normalizes sum_s gamma^(t-s) T^s.
+        The sum is positive: softmax's largest entry is 1/sum(exp(K - max K)).
+        `immediate` is replaced by a new array, so a caller holding the old
+        one keeps last round's values.
         """
-        selected = list(selected)
+        selected = np.asarray(selected, dtype=np.int64)
         if len(selected) != len(K_selected):
             raise ShapeError("selected ids and vote counts disagree on length")
         T_now = softmax(np.asarray(K_selected, dtype=np.float64))
-        self.immediate = {cid: float(t) for cid, t in zip(selected, T_now)}
+        self.immediate = np.full(self.num_clients, np.nan)
+        self.immediate[selected] = T_now
         self.accumulated_raw[selected] = self.gamma * self.accumulated_raw[selected] + T_now
         raw = self.accumulated_raw[selected]
-        total = raw.sum()
-        return raw / total if total > 0 else np.full(len(selected), 1.0 / len(selected))
+        return raw / raw.sum()
 
 
-def median_discard(
-    prev_immediate: Mapping[int, float], selected: Iterable[int]
-) -> Set[int]:
-    """Currently selected clients whose last-round trust fell strictly below the median.
+def median_discard(prev_immediate: np.ndarray, selected: Sequence[int]) -> np.ndarray:
+    """Mask over `selected`: last round's immediate trust fell strictly below its median.
 
-    Clients absent from the previous round's map are never discarded.
+    The median is taken over the non-NaN entries, the clients last round
+    selected; a NaN entry (a client absent last round) is never discarded.
     """
-    if not prev_immediate:
-        return set()
-    median = float(np.median(list(prev_immediate.values())))
-    return {
-        cid
-        for cid in selected
-        if cid in prev_immediate and prev_immediate[cid] < median
-    }
+    last = prev_immediate[~np.isnan(prev_immediate)]
+    if last.size == 0:
+        return np.zeros(len(selected), dtype=bool)
+    return prev_immediate[np.asarray(selected, dtype=np.int64)] < np.median(last)
 
 
 def aggregate(
@@ -153,4 +152,4 @@ def aggregate(
             continue
         step += t * upd / norm
     sign = 1.0 if toward_clients else -1.0
-    return ModelParams(theta.flat + sign * lr_server * step, list(theta.shapes))
+    return ModelParams(theta.flat + sign * lr_server * step, theta.shapes)

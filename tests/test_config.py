@@ -27,6 +27,19 @@ def test_text_roundtrip(tmp_path):
     assert back == cfg
 
 
+@pytest.mark.parametrize("kw", [
+    dict(hidden_dims=[64, 32]),
+    dict(voting_metrics=["representation"], trigger_indices=[5, 6], trigger_values=[1.0, -1.0]),
+])
+def test_list_values_for_tuple_fields_round_trip(tmp_path, kw):
+    # a list given for a tuple field is stored, and so written, as a tuple
+    cfg = SimConfig(**kw)
+    assert all(getattr(cfg, key) == tuple(value) for key, value in kw.items())
+    path = tmp_path / "run.cfg"
+    cfg.write(path)
+    assert load_config(path) == cfg
+
+
 def test_load_with_comments_and_overrides(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(
@@ -60,12 +73,16 @@ def _field_values(f):
     choices = {"aggregator": AGGREGATORS, "attack": ATTACKS, "threshold_mode": THRESHOLD_MODES}
     if f.name in choices:
         return st.sampled_from(choices[f.name])
+    # a tuple field may be given as a tuple or as a list
     if f.name == "voting_metrics":
-        return st.lists(st.sampled_from(("gradient", "representation")), unique=True).map(tuple)
+        values = st.lists(st.sampled_from(("gradient", "representation")), unique=True)
+        return values | values.map(tuple)
     if f.name in ("hidden_dims", "trigger_indices"):
-        return st.lists(st.integers(-1, 40), max_size=5).map(tuple)
+        values = st.lists(st.integers(-1, 40), max_size=5)
+        return values | values.map(tuple)
     if f.name == "trigger_values":
-        return st.lists(st.floats(), min_size=4, max_size=4).map(tuple)
+        values = st.lists(st.floats(), min_size=4, max_size=4)
+        return values | values.map(tuple)
     if isinstance(f.default, bool):
         return st.booleans()
     if isinstance(f.default, int):

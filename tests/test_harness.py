@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -106,6 +107,16 @@ def test_run_records_structure_defense():
         assert abs(sum(r.immediate) - 1.0) < 1e-9
         assert len(r.inferred_columns) == 5
         assert all(len(bits) == cfg.num_classes for bits in r.inferred_columns)
+
+
+def test_record_lists_hold_plain_python_values():
+    # numpy scalars print like Python ones in the CSV but not in JSON or repr
+    res = run_experiment(tiny_cfg(attack="sybil", rounds=3))
+    for r in res.records:
+        for f in fields(r):
+            value = getattr(r, f.name)
+            if isinstance(value, list):
+                assert {type(v) for v in value} <= {int, float, str}, f.name
 
 
 def test_run_records_structure_baseline():
@@ -332,9 +343,17 @@ def test_cli_run_and_report(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out_dir), "--override", "seed=2"]) == 0
     assert (out_dir / "rounds_clustervote_none_seed2.csv").exists()
+    capsys.readouterr()
     assert main(["report", str(out_dir)]) == 0
-    report = capsys.readouterr().out
-    assert "clustervote_none_seed2" in report
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["run", "final_accuracy", "final_asr", "mean_inference_accuracy",
+                              "mean_malicious_trust", "mean_honest_trust", "malicious_updates"]
+    summary = json.loads((out_dir / "summary_clustervote_none_seed2.json").read_text())
+    assert row.split() == ["clustervote_none_seed2", f"{summary['final_accuracy']:.5f}",
+                           f"{summary['final_asr']:.5f}",
+                           f"{summary['mean_inference_accuracy']:.5f}",
+                           f"{summary['mean_honest_trust']:.5f}", "0"]
+    assert summary["mean_malicious_trust"] is None  # nobody attacks: a blank cell
 
 
 def test_cli_repeats_mean_summary(tmp_path):

@@ -185,3 +185,16 @@ def test_indicators_of_an_update_matrix_equal_one_call_per_row(k, hidden, lr, se
     for i in range(k):
         alone = class_indicator(recover_last_layer_gradient(U[i], shapes, lr))
         assert u[i].tobytes() == alone.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), m=st.integers(2, 40), mode=st.sampled_from(
+    ["mean", "mean_plus_std", "absolute"]), seed=st.integers(0, 2**32 - 1))
+def test_infer_column_of_a_matrix_thresholds_each_row_alone(n, m, mode, seed):
+    # the defense infers every selected client's column from its (n, m) indicators at once
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((n, m)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    bits = infer_column(u, mode, 0.5)
+    assert bits.shape == (n, m) and bits.dtype == np.uint8
+    for i in range(n):
+        assert bits[i].tobytes() == infer_column(u[i], mode, 0.5).tobytes()

@@ -150,7 +150,7 @@ def first_round_trust(votes):
     """The ledger's immediate trust for one first round of the given votes."""
     ledger = TrustLedger(num_clients=len(votes), gamma=0.1)
     ledger.update(range(len(votes)), np.asarray(votes))
-    return np.array([ledger.immediate[cid] for cid in range(len(votes))])
+    return ledger.immediate
 
 
 def test_immediate_trust_uniform_and_two_point():
@@ -180,7 +180,8 @@ def test_accumulate_first_round_equals_immediate():
     ledger = TrustLedger(num_clients=5, gamma=0.1)
     out = ledger.update([0, 2, 4], np.array([2, 1, 0]))
     assert np.allclose(out, softmax(np.array([2.0, 1.0, 0.0])), atol=1e-12)
-    assert np.allclose(out, [ledger.immediate[c] for c in (0, 2, 4)], atol=1e-12)
+    assert np.allclose(out, ledger.immediate[[0, 2, 4]], atol=1e-12)
+    assert np.isnan(ledger.immediate[[1, 3]]).all()
 
 
 def test_accumulate_gamma_to_zero_limit():
@@ -214,15 +215,17 @@ def test_accumulate_matches_closed_form_oracle():
                        min_size=1, max_size=6))
 def test_accumulate_freezes_unselected(gamma, rounds):
     # over any rounds of (client, votes) picks: unselected clients' raw trust
-    # is frozen, and immediate and returned trust each sum to one
+    # is frozen and their immediate trust is NaN, and the selected clients'
+    # immediate and returned trust each sum to one
     ledger = TrustLedger(num_clients=8, gamma=gamma)
     for picks in rounds:
         selected = [cid for cid, _ in picks]
         before = ledger.accumulated_raw.copy()
         out = ledger.update(selected, np.array([votes for _, votes in picks]))
         assert math.isclose(out.sum(), 1.0, abs_tol=1e-12)
-        assert math.isclose(sum(ledger.immediate.values()), 1.0, abs_tol=1e-12)
+        assert math.isclose(ledger.immediate[selected].sum(), 1.0, abs_tol=1e-12)
         frozen = np.setdiff1d(np.arange(8), selected)
+        assert np.isnan(ledger.immediate[frozen]).all()
         assert np.array_equal(ledger.accumulated_raw[frozen], before[frozen])
 
 
@@ -232,12 +235,65 @@ def test_ledger_validation():
         ledger.update([0, 1], np.array([1, 2, 3]))
 
 
+def last_round(trust_by_client, n=8):
+    """An immediate-trust array holding the given client trusts, NaN for everyone else."""
+    out = np.full(n, np.nan)
+    out[list(trust_by_client)] = list(trust_by_client.values())
+    return out
+
+
 def test_median_discard_examples():
-    assert median_discard({0: 0.2, 1: 0.2, 2: 0.2}, [0, 1, 2]) == set()
-    assert median_discard({0: 0.5, 1: 0.3, 2: 0.2}, [0, 1, 2]) == {2}
-    # clients unselected last round are never dropped
-    assert median_discard({0: 0.5, 1: 0.3, 2: 0.2}, [2, 7]) == {2}
-    assert median_discard({}, [0, 1]) == set()
+    assert median_discard(last_round({0: 0.2, 1: 0.2, 2: 0.2}), [0, 1, 2]).tolist() == [
+        False, False, False]
+    assert median_discard(last_round({0: 0.5, 1: 0.3, 2: 0.2}), [0, 1, 2]).tolist() == [
+        False, False, True]
+    # clients unselected last round are never dropped, and the mask follows `selected`
+    assert median_discard(last_round({0: 0.5, 1: 0.3, 2: 0.2}), [7, 2]).tolist() == [False, True]
+    assert median_discard(last_round({}), [0, 1]).tolist() == [False, False]
+
+
+class DictLedger:
+    """Reference trust state: immediate trust as a {client: trust} dict, discards as a set."""
+
+    def __init__(self, num_clients, gamma):
+        self.gamma = gamma
+        self.accumulated_raw = np.zeros(num_clients)
+        self.immediate = {}
+
+    def update(self, selected, votes):
+        T_now = softmax(np.asarray(votes, dtype=np.float64))
+        self.immediate = {cid: float(t) for cid, t in zip(selected, T_now)}
+        self.accumulated_raw[selected] = self.gamma * self.accumulated_raw[selected] + T_now
+        raw = self.accumulated_raw[selected]
+        total = raw.sum()
+        return raw / total if total > 0 else np.full(len(selected), 1.0 / len(selected))
+
+    @staticmethod
+    def median_discard(prev_immediate, selected):
+        if not prev_immediate:
+            return set()
+        median = float(np.median(list(prev_immediate.values())))
+        return {cid for cid in selected if cid in prev_immediate and prev_immediate[cid] < median}
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       rounds=st.lists(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 40)),
+                                min_size=1, max_size=10, unique_by=lambda pick: pick[0]),
+                       min_size=1, max_size=8))
+def test_trust_arrays_match_dict_reference(gamma, rounds):
+    # round by round, as the defense runs them: discard from last round's
+    # immediate trust, then record this round's votes; every value bit for bit
+    ledger, reference = TrustLedger(num_clients=10, gamma=gamma), DictLedger(10, gamma)
+    for picks in rounds:
+        selected = [cid for cid, _ in picks]
+        votes = np.array([v for _, v in picks])
+        prev, ref_prev = ledger.immediate, reference.immediate
+        assert np.array_equal(ledger.update(selected, votes), reference.update(selected, votes))
+        assert ledger.immediate[selected].tolist() == [reference.immediate[c] for c in selected]
+        assert np.isnan(np.delete(ledger.immediate, selected)).all()
+        dropped = reference.median_discard(ref_prev, selected)
+        assert median_discard(prev, selected).tolist() == [c in dropped for c in selected]
 
 
 def test_two_round_discard_scenario():
@@ -246,14 +302,13 @@ def test_two_round_discard_scenario():
     ledger = TrustLedger(num_clients=5, gamma=0.1)
     ledger.update([0, 1, 2], np.array([4, 3, 0]))          # round t-1: client 2 bottom
     prev = ledger.immediate
+    ledger.update([1, 2, 3], np.array([1, 1, 1]))          # round t replaces, not edits, prev
     discard = median_discard(prev, [1, 2, 3])              # round t selection
-    assert discard == {2}
+    assert discard.tolist() == [False, True, False]
     theta = ModelParams(np.zeros(param_dim([(2, 3)])), [(2, 3)])
-    updates = [np.ones(theta.dim) for _ in (1, 2, 3)]
-    weights = [0.5, 0.4, 0.1]
-    surviving = [i for i, c in enumerate((1, 2, 3)) if c not in discard]
-    out = aggregate(theta, [updates[i] for i in surviving],
-                    [weights[i] for i in surviving], lr_server=1.0)
+    updates = np.ones((3, theta.dim))
+    weights = np.array([0.5, 0.4, 0.1])
+    out = aggregate(theta, updates[~discard], weights[~discard], lr_server=1.0)
     expected = aggregate(theta, [updates[0], updates[2]], [0.5, 0.1], lr_server=1.0)
     assert np.array_equal(out.flat, expected.flat)
 
