@@ -18,7 +18,8 @@ from .config import SimConfig
 from .data import LabeledDataset, TriggerPattern, concat_datasets
 from .errors import TrainingError
 from .inference import class_indicator, recover_last_layer_gradient
-from .model import ModelParams, Shapes, finite_update, last_layer_weight_block, local_train, loss_and_grad
+from .model import (ModelParams, Shapes, epoch_batches, finite_update, last_layer_weight_block,
+                    local_train, loss_and_grad, sgd_step)
 
 
 def make_poison_pool(base: LabeledDataset, trig: TriggerPattern) -> LabeledDataset:
@@ -66,60 +67,36 @@ def alternate_attack(
     if clean.size < 1:
         raise TrainingError("attacker has no clean data")
     mixed = _training_set(clean, poison, cfg.poison_count)
-    lr, batch_size = cfg.lr_client, cfg.batch_size
-    anchor_delta = np.asarray(benign_delta, dtype=np.float64)
-    pull = min(2.0 * lr * cfg.stealth_rho, 1.0)
+    pull = min(2.0 * cfg.lr_client * cfg.stealth_rho, 1.0)
     rng = np.random.default_rng(seed)
     theta = global_params.copy()
-    # delta accumulation mirrors local_train so neutral knobs reproduce an
-    # honest client's update byte for byte
     delta = np.zeros(global_params.dim)
-    n_clean = clean.size
-
     for h in range(cfg.epochs):
-        if h % 2 == 0:
-            x, y = mixed.samples, mixed.labels
-            weighted = cfg.lambda_clean != 1.0
-        else:
-            x, y = clean.samples, clean.labels
-            weighted = False
-        n = x.shape[0]
-        order = np.arange(n) if batch_size >= n else rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        stealth = h % 2 == 1
+        data = clean if stealth else mixed
+        weighted = not stealth and cfg.lambda_clean != 1.0
+        for idx in epoch_batches(data.size, cfg.batch_size, rng):
             if weighted:
-                grad = _weighted_grad(theta, x, y, idx, n_clean, cfg.lambda_clean)
+                grad = _weighted_grad(theta, data, idx, clean.size, cfg.lambda_clean)
             else:
-                _, grad = loss_and_grad(theta, x[idx], y[idx])
-            grad *= lr  # in place: the same doubles as delta -= lr * grad
-            delta -= grad
-            if h % 2 == 1 and pull > 0.0:
-                delta -= pull * (delta - anchor_delta)
-            np.add(global_params.flat, delta, out=theta.flat)
-
-    if cfg.boost != 1.0:
-        delta = delta * cfg.boost
-    return finite_update(delta)
+                _, grad = loss_and_grad(theta, data.samples[idx], data.labels[idx])
+            sgd_step(global_params, theta, delta, grad, cfg.lr_client, benign_delta,
+                     pull if stealth else 0.0)
+    return finite_update(delta * cfg.boost)
 
 
-def _weighted_grad(
-    theta: ModelParams,
-    x: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    n_clean: int,
-    lam: float,
-) -> np.ndarray:
+def _weighted_grad(theta: ModelParams, data: LabeledDataset, idx: np.ndarray, n_clean: int,
+                   lam: float) -> np.ndarray:
     """Batch gradient with clean samples (index < n_clean) weighted by lam."""
     clean_idx = idx[idx < n_clean]
     pois_idx = idx[idx >= n_clean]
     total = lam * clean_idx.size + pois_idx.size
     grad = np.zeros(theta.dim)
     if clean_idx.size:
-        _, g = loss_and_grad(theta, x[clean_idx], y[clean_idx])
+        _, g = loss_and_grad(theta, data.samples[clean_idx], data.labels[clean_idx])
         grad += lam * clean_idx.size * g
     if pois_idx.size:
-        _, g = loss_and_grad(theta, x[pois_idx], y[pois_idx])
+        _, g = loss_and_grad(theta, data.samples[pois_idx], data.labels[pois_idx])
         grad += pois_idx.size * g
     return grad / total
 

@@ -103,11 +103,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             return f"{value:{width}.5f}"
         return f"{value:{width}d}" if isinstance(value, int) else " " * width
 
-    print(" ".join([f"{'run':42s}"] + [f"{key:>{len(key)}s}" for key in SUMMARY_METRICS]))
-    for path in summaries:
+    # a run is named by its summary's path under DIR, so two sweep values stay apart
+    names = [p.relative_to(root).with_name(p.stem.removeprefix("summary_")).as_posix()
+             for p in summaries]
+    width = max(len("run"), *map(len, names))
+    print(" ".join([f"{'run':{width}s}"] + [f"{key:>{len(key)}s}" for key in SUMMARY_METRICS]))
+    for name, path in zip(names, summaries):
         s = json.loads(path.read_text())
-        name = path.stem.removeprefix("summary_")
-        print(" ".join([f"{name:42s}"] + [cell(s.get(key), len(key)) for key in SUMMARY_METRICS]))
+        print(" ".join([f"{name:{width}s}"] + [cell(s.get(key), len(key)) for key in SUMMARY_METRICS]))
     return 0
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Tuple, get_args, get_origin, get_type_hints
@@ -81,10 +82,12 @@ class SimConfig:
     def __post_init__(self):
         """Reject every bad value or combination before a run generates any data."""
         for f in fields(self):
-            if get_origin(_FIELD_TYPES[f.name]) is tuple:  # a list too, so to_text can write it
-                setattr(self, f.name, tuple(getattr(self, f.name)))
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            kind, value = _FIELD_TYPES[f.name], getattr(self, f.name)
+            if not _holds(kind, value):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if get_origin(kind) is tuple:  # a list too, so to_text can write it
+                setattr(self, f.name, tuple(value))
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite")
         if not all(math.isfinite(v) for v in self.trigger_values):
             raise ConfigError("trigger_values must be finite")
@@ -99,7 +102,7 @@ class SimConfig:
                      "per_class", "test_per_class", "aux_per_class", "pool_size", "shards"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("seed", "tau"):
+        for name in ("seed", "tau", "agg_f", "stealth_rho"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.num_classes < 2:
@@ -130,8 +133,6 @@ class SimConfig:
             raise ConfigError(f"unknown aggregator {self.aggregator!r}")
         if self.attack not in ATTACKS:
             raise ConfigError(f"unknown attack {self.attack!r}")
-        if self.agg_f < 0:
-            raise ConfigError("agg_f must be >= 0")
         if self.aggregator == "krum" and per_round < 2 * self.agg_f + 3:
             raise ConfigError(f"krum needs at least 2*agg_f+3 = {2 * self.agg_f + 3} "
                               f"clients per round, got {per_round}")
@@ -145,8 +146,6 @@ class SimConfig:
             raise ConfigError(f"unknown threshold_mode {self.threshold_mode!r}")
         if self.lambda_clean <= 0:
             raise ConfigError("lambda_clean must be > 0")
-        if self.stealth_rho < 0:
-            raise ConfigError("stealth_rho must be >= 0")
         if not (0 <= self.poison_count <= self.pool_size):
             raise ConfigError("poison_count must lie in [0, pool_size]")
         if any(not 0 <= i < self.input_dim for i in self.trigger_indices):
@@ -197,6 +196,16 @@ class SimConfig:
 _FIELD_TYPES = get_type_hints(SimConfig)
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
+
+
+def _holds(kind: object, value: object) -> bool:
+    """Whether `value` is of declared type `kind`: a bool is no number, an int is a float,
+    numpy scalars count as Python ones, and a tuple may be given as a list."""
+    if get_origin(kind) is tuple:
+        return isinstance(value, (list, tuple)) and all(_holds(get_args(kind)[0], v) for v in value)
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
 
 
 def _read(kind: type, text: str) -> object:

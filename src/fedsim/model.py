@@ -189,16 +189,27 @@ def finite_update(delta: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _sgd_step(params: ModelParams, theta: ModelParams, delta: np.ndarray,
-              x: np.ndarray, y: np.ndarray, lr: float) -> None:
-    """One step in place: delta -= lr * grad at theta, then theta = params + delta.
+def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> List[np.ndarray]:
+    """One epoch's batches of indices into n records: all n in order, leaving `rng`
+    untouched, when they fit one batch; else the slices of a fresh `rng.permutation(n)`."""
+    if n <= batch_size:
+        return [np.arange(n)]
+    order = rng.permutation(n)
+    return [order[start:start + batch_size] for start in range(0, n, batch_size)]
+
+
+def sgd_step(params: ModelParams, theta: ModelParams, delta: np.ndarray, grad: np.ndarray,
+             lr: float, anchor: np.ndarray | None = None, pull: float = 0.0) -> None:
+    """One step in place: delta -= lr * grad, then theta = params + delta.
 
     The update is accumulated directly, so one step yields -lr*grad exactly;
-    scaling the fresh gradient in place gives the same doubles as lr * grad.
+    scaling `grad` in place gives the same doubles as lr * grad. Before theta
+    is written, a positive `pull` moves delta that fraction of the way to `anchor`.
     """
-    _, grad = loss_and_grad(theta, x, y)
     grad *= lr
     delta -= grad
+    if pull > 0.0:
+        delta -= pull * (delta - anchor)
     np.add(params.flat, delta, out=theta.flat)
 
 
@@ -222,7 +233,8 @@ def full_batch_train(
     theta = ModelParams(np.tile(params.flat, (len(datasets), 1)), params.shapes)
     delta = np.zeros(theta.flat.shape)
     for _ in range(epochs):
-        _sgd_step(params, theta, delta, x, y, lr)
+        # the (K, d) gradient is left unbound, so it is freed before the next one exists
+        sgd_step(params, theta, delta, loss_and_grad(theta, x, y)[1], lr)
     return delta
 
 
@@ -236,25 +248,20 @@ def local_train(
 ) -> np.ndarray:
     """Plain minibatch SGD (no momentum); returns delta = theta_after - theta_before.
 
-    Batches are drawn by a seeded per-epoch shuffle. Data that fit in a
-    single batch skip the shuffle, so the one-batch case reduces exactly to
-    one gradient step per epoch on the data as given (`full_batch_train`).
-    epochs, lr and batch_size are taken as SimConfig checked them; only the
-    data is checked here.
+    Each epoch's batches come from `epoch_batches` with one generator seeded
+    by `seed`, so data that fit in one batch take one gradient step per epoch
+    on the data as given. epochs, lr and batch_size are taken as SimConfig
+    checked them; only the data is checked here.
     """
     if data.size < 1:
         raise TrainingError("cannot train on an empty dataset")
-    n = data.size
-    if batch_size >= n:
-        return finite_update(full_batch_train(params, [data], epochs, lr)[0])
     rng = np.random.default_rng(seed)
     theta = params.copy()
     delta = np.zeros(params.dim)
     for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            _sgd_step(params, theta, delta, data.samples[idx], data.labels[idx], lr)
+        for idx in epoch_batches(data.size, batch_size, rng):
+            _, grad = loss_and_grad(theta, data.samples[idx], data.labels[idx])
+            sgd_step(params, theta, delta, grad, lr)
     return finite_update(delta)
 
 

@@ -14,14 +14,14 @@ from fedsim.attacks import (
     sybil_updates,
 )
 from fedsim.config import SimConfig
-from fedsim.data import TriggerPattern, class_means, gen_dataset
+from fedsim.data import TriggerPattern, class_means, concat_datasets, gen_dataset
 from fedsim.errors import ConfigError, TrainingError
 from fedsim.inference import (
     class_indicator,
     infer_column,
     recover_last_layer_gradient,
 )
-from fedsim.model import init_model, local_train
+from fedsim.model import init_model, local_train, loss_and_grad
 from fedsim.trust import aggregate, cosine_similarity
 
 M, R_IN = 6, 16
@@ -97,6 +97,53 @@ def test_alternate_degenerates_to_honest(setup, seed, per_class, epochs, batch_s
     benign = honest_update(model, clean, seed=77)  # an anchor with zero pull
     attack = alternate_attack(model, clean, pool, benign, cfg, seed)
     assert attack.tobytes() == honest.tobytes()
+
+
+def written_out_alternate(model, clean, pool, benign, cfg, seed):
+    """The alternate attack as one self-contained loop: the reference for its bytes."""
+    mixed = concat_datasets([clean, pool.subset(np.arange(cfg.poison_count))])
+    lr, lam, b = cfg.lr_client, cfg.lambda_clean, cfg.batch_size
+    pull = min(2.0 * lr * cfg.stealth_rho, 1.0)
+    rng = np.random.default_rng(seed)
+    theta, delta = model.copy(), np.zeros(model.dim)
+    for h in range(cfg.epochs):
+        data = clean if h % 2 else mixed
+        order = np.arange(data.size) if b >= data.size else rng.permutation(data.size)
+        for start in range(0, data.size, b):
+            idx = order[start:start + b]
+            if h % 2 == 0 and lam != 1.0:
+                c, p = idx[idx < clean.size], idx[idx >= clean.size]
+                grad = np.zeros(model.dim)
+                if c.size:
+                    grad += lam * c.size * loss_and_grad(theta, data.samples[c], data.labels[c])[1]
+                if p.size:
+                    grad += p.size * loss_and_grad(theta, data.samples[p], data.labels[p])[1]
+                grad = grad / (lam * c.size + p.size)
+            else:
+                grad = loss_and_grad(theta, data.samples[idx], data.labels[idx])[1]
+            delta -= lr * grad
+            if h % 2 and pull > 0.0:
+                delta -= pull * (delta - benign)
+            theta.flat[...] = model.flat + delta
+    return delta * cfg.boost
+
+
+# lr_client is 0.05, so the stealth pull min(2 * lr * rho, 1) clips at 1 from rho = 10 on
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), per_class=st.integers(1, 6), epochs=st.integers(1, 4),
+       batch_size=st.integers(1, 40), poison_count=st.integers(0, 20),
+       lambda_clean=st.sampled_from([0.5, 1.0, 2.0]),
+       stealth_rho=st.just(0.0) | st.floats(0.0, 30.0), boost=st.floats(1.0, 5.0))
+def test_alternate_family_equals_the_written_out_loop(setup, seed, per_class, epochs, batch_size,
+                                                      poison_count, lambda_clean, stealth_rho, boost):
+    clean, pool, model, _ = neutral_case(setup, per_class, epochs, batch_size)
+    cfg = knobs(poison_count=poison_count, lambda_clean=lambda_clean, stealth_rho=stealth_rho,
+                boost=boost, epochs=epochs, batch_size=batch_size)
+    benign = honest_update(model, clean, seed=77)
+    expected = written_out_alternate(model, clean, pool, benign, cfg, seed)
+    assert alternate_attack(model, clean, pool, benign, cfg, seed).tobytes() == expected.tobytes()
+    forged = forge_full_claim(expected, model.shapes, cfg)
+    assert adaptive_attack(model, clean, pool, benign, cfg, seed).tobytes() == forged.tobytes()
 
 
 def test_dba_part_one_equals_basic(setup):

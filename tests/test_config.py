@@ -4,6 +4,7 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -38,6 +39,31 @@ def test_list_values_for_tuple_fields_round_trip(tmp_path, kw):
     path = tmp_path / "run.cfg"
     cfg.write(path)
     assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("kw, field", [
+    (dict(rounds=2.5), "rounds"),  # float for an int
+    (dict(n_clients=10.0, shards=50), "n_clients"),
+    (dict(seed=True), "seed"),  # a bool is no int
+    (dict(epochs="5"), "epochs"),
+    (dict(lr_client=True), "lr_client"),
+    (dict(strict_paper_sign="no"), "strict_paper_sign"),  # truthy, but no bool
+    (dict(strict_paper_sign=1), "strict_paper_sign"),
+    (dict(aggregator=3), "aggregator"),
+    (dict(hidden_dims=5), "hidden_dims"),  # no sequence at all
+    (dict(hidden_dims=(64.5,)), "hidden_dims"),
+    (dict(trigger_values=(1.0, "2", 3.0, 4.0)), "trigger_values"),
+    (dict(voting_metrics="gradient"), "voting_metrics"),  # a str is no tuple of str
+])
+def test_python_values_are_checked_against_their_declared_type(kw, field):
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        SimConfig(**kw)
+
+
+def test_numpy_scalars_and_ints_for_floats_are_accepted():
+    cfg = SimConfig(rounds=np.int64(3), lr_client=np.float32(0.5), boost=np.int64(3),
+                    hidden_dims=[np.int64(8)], trigger_values=(3, -3, 3, -3))
+    assert cfg.rounds == 3 and cfg.boost == 3 and cfg.hidden_dims == (8,)
 
 
 def test_load_with_comments_and_overrides(tmp_path):

@@ -366,6 +366,21 @@ def test_cli_repeats_mean_summary(tmp_path):
     assert mean["seeds"] == [1, 2]
 
 
+def test_report_names_each_sweep_run_by_its_path(tmp_path, capsys):
+    cfg_path = tmp_path / "t.cfg"
+    cfg_path.write_text("\n".join([f"{k}={v}" for k, v in TINY.items()] + ["rounds=1"]) + "\n")
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", str(cfg_path), "--param", "noniid_p", "--values", "0.0,0.8",
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(out_dir)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    names = ["noniid_p_0.0/clustervote_none_seed1", "noniid_p_0.8/clustervote_none_seed1"]
+    assert [row.split()[0] for row in rows] == names
+    # the name column is as wide as the longest name
+    assert header.index("final_accuracy") == len(names[0]) + 1
+
+
 def test_cli_sweep(tmp_path):
     cfg_path = tmp_path / "t.cfg"
     lines = [f"{k}={v}" for k, v in TINY.items()] + ["rounds=2"]

@@ -11,6 +11,7 @@ from fedsim.data import LabeledDataset
 from fedsim.errors import ShapeError, TrainingError
 from fedsim.model import (
     ModelParams,
+    epoch_batches,
     forward,
     full_batch_train,
     init_model,
@@ -275,6 +276,24 @@ def test_last_layer_weight_block_view():
     assert np.array_equal(model.layers()[-1][0], block)
     with pytest.raises(ShapeError):
         last_layer_weight_block(model.flat[:-1], model.shapes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 50), batch_size=st.integers(1, 60), epochs=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_epoch_batches_cut_one_fresh_permutation_per_epoch(n, batch_size, epochs, seed):
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(epochs):
+        batches = epoch_batches(n, batch_size, rng)
+        joined = np.concatenate(batches)
+        assert sorted(joined.tolist()) == list(range(n))
+        if n <= batch_size:
+            # the data as given, and no draw from the generator
+            assert len(batches) == 1 and joined.tolist() == list(range(n))
+            assert rng.bit_generator.state == twin.bit_generator.state
+        else:
+            assert all(len(batch) == batch_size for batch in batches[:-1])
+            assert joined.tolist() == twin.permutation(n).tolist()
 
 
 # a stack of models is K models side by side: every oracle below compares it
