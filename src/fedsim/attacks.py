@@ -85,9 +85,10 @@ def alternate_attack(
     return finite_update(delta * cfg.boost)
 
 
-def _weighted_grad(theta: ModelParams, data: LabeledDataset, idx: np.ndarray, n_clean: int,
+def _weighted_grad(theta: ModelParams, data: LabeledDataset, idx: slice | np.ndarray, n_clean: int,
                    lam: float) -> np.ndarray:
     """Batch gradient with clean samples (index < n_clean) weighted by lam."""
+    idx = np.arange(data.size)[idx]
     clean_idx = idx[idx < n_clean]
     pois_idx = idx[idx >= n_clean]
     total = lam * clean_idx.size + pois_idx.size

@@ -68,6 +68,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.param == "seed":
         raise ConfigError("sweep seeds with --seeds, not --param seed")
+    if args.param == "out_dir":
+        raise ConfigError("--param out_dir changes nothing: every run writes under --out")
     cfg = load_config(args.config, _overrides(args))
     key = args.param
     values = [v for v in args.values.split(",") if v != ""]
@@ -77,6 +79,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
     except ValueError:
         raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+    for flag, items in (("--values", values), ("--seeds", seeds)):
+        if len(set(items)) < len(items):  # a repeat would run again into the same files
+            raise ConfigError(f"{flag} repeats a value: {','.join(map(str, items))}")
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     runs = _runs(cfg, [(out_dir / f"{key}_{value}", {key: value, "seed": str(seed)})
                        for value in values for seed in seeds])

@@ -52,38 +52,26 @@ def compute_thresholds(A: np.ndarray) -> Tuple[int, int]:
 def greedy_cluster(A: np.ndarray, th: Tuple[int, int]) -> np.ndarray:
     """Trim the sufficiency matrix down to both budgets th = (per_client, per_cluster).
 
-    Start from x = A (zeroing inactive columns). While any row exceeds
-    per_cluster or any column exceeds per_client: sweep rows, removing from
-    each overloaded row the member with the largest current column count;
-    then sweep columns, removing from each overloaded column the membership
-    in the largest current row. Ties break toward the lowest index and all
-    counts are re-read after every removal, so the pass is deterministic and
-    each removal flips exactly one bit.
+    Start from x = A. While any row exceeds per_cluster or any column exceeds
+    per_client: sweep rows, removing from each overloaded row the member with
+    the largest current column count; then sweep columns by the same rule on
+    x.T, removing from each overloaded column the membership in the largest
+    current row. Ties break toward the lowest index and all counts are re-read
+    after every removal, so the pass is deterministic and each removal flips
+    exactly one bit. Inactive (all-zero) columns are never touched.
     """
     A = np.asarray(A, dtype=np.uint8)
     if A.ndim != 2:
         raise ShapeError("sufficiency matrix must be 2-D")
     per_client, per_cluster = th
     x = A.copy()
-    x[:, ~active_columns(A)] = 0
-    m, n = x.shape
-    while True:
-        row_counts = x.sum(axis=1)
-        col_counts = x.sum(axis=0)
-        if row_counts.max(initial=0) <= per_cluster and col_counts.max(initial=0) <= per_client:
-            break
-        for i in range(m):
-            if x[i].sum() > per_cluster:
-                members = np.flatnonzero(x[i])
-                counts = x.sum(axis=0)[members]
-                j = members[int(np.argmax(counts))]  # argmax keeps the first max
-                x[i, j] = 0
-        for j in range(n):
-            if x[:, j].sum() > per_client:
-                rows = np.flatnonzero(x[:, j])
-                counts = x.sum(axis=1)[rows]
-                i = rows[int(np.argmax(counts))]
-                x[i, j] = 0
+    while x.sum(axis=1).max(initial=0) > per_cluster or x.sum(axis=0).max(initial=0) > per_client:
+        for lines, cap in ((x, per_cluster), (x.T, per_client)):  # x.T writes through to x
+            for i in range(len(lines)):
+                if lines[i].sum() > cap:
+                    members = np.flatnonzero(lines[i])
+                    counts = lines.sum(axis=0)[members]
+                    lines[i, members[int(np.argmax(counts))]] = 0  # argmax keeps the first max
     return x
 
 

@@ -239,12 +239,16 @@ def apply_overrides(cfg: SimConfig, overrides: dict[str, str]) -> SimConfig:
 
 
 def load_config(path: Path | str | None, overrides: dict[str, str] | None = None) -> SimConfig:
-    """Config from a flat key=value file (optional, `#` starts a comment) plus overrides."""
+    """Config from a flat key=value file (optional, `#` starts a comment, one line per key)
+    plus overrides, which win over the file."""
     parsed: dict[str, str] = {}
+    first: dict[str, int] = {}
     if path is not None:
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0]
             if line.strip():
                 key, value = split_setting(line, f"{path}:{lineno}")
-                parsed[key] = value
+                if key in first:
+                    raise ConfigError(f"{path}:{lineno}: {key} is already set on line {first[key]}")
+                first[key], parsed[key] = lineno, value
     return apply_overrides(SimConfig(), {**parsed, **(overrides or {})})

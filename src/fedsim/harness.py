@@ -31,10 +31,10 @@ from .model import (
     ModelParams,
     finite_update,
     forward,
-    full_batch_train,
     init_model,
     local_train,
     representation,
+    sgd_train,
 )
 
 # stream tags for seed derivation
@@ -255,8 +255,12 @@ class _Clients:
             size = self.partitions[cid].size
             if cid not in self.pools and 1 <= size <= cfg.batch_size:
                 stacks.setdefault(size, []).append(i)
-        trained = [(rows, full_batch_train(theta, [self.partitions[selected[i]] for i in rows],
-                                           cfg.epochs, cfg.lr_client)) for rows in stacks.values()]
+        # the stacked data are built inside the call, so they are freed once it returns
+        trained = [(rows, sgd_train(theta,
+                                    np.stack([self.partitions[selected[i]].samples for i in rows]),
+                                    np.stack([self.partitions[selected[i]].labels for i in rows]),
+                                    cfg.epochs, cfg.lr_client, cfg.batch_size, None))
+                   for rows in stacks.values()]
         # allocated once the stacks' training buffers are freed, so they never coexist
         U = np.empty((len(selected), theta.dim))
         filled = np.zeros(len(selected), dtype=bool)

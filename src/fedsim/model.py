@@ -189,11 +189,13 @@ def finite_update(delta: np.ndarray) -> np.ndarray:
     return delta
 
 
-def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> List[np.ndarray]:
-    """One epoch's batches of indices into n records: all n in order, leaving `rng`
-    untouched, when they fit one batch; else the slices of a fresh `rng.permutation(n)`."""
+def epoch_batches(n: int, batch_size: int,
+                  rng: np.random.Generator | None) -> List[slice | np.ndarray]:
+    """One epoch's batches, each indexing the first axis of n records: the data as given,
+    `slice(None)`, leaving `rng` untouched, when they fit one batch; else the slices of
+    a fresh `rng.permutation(n)`."""
     if n <= batch_size:
-        return [np.arange(n)]
+        return [slice(None)]
     order = rng.permutation(n)
     return [order[start:start + batch_size] for start in range(0, n, batch_size)]
 
@@ -213,28 +215,26 @@ def sgd_step(params: ModelParams, theta: ModelParams, delta: np.ndarray, grad: n
     np.add(params.flat, delta, out=theta.flat)
 
 
-def full_batch_train(
-    params: ModelParams,
-    datasets: Sequence[LabeledDataset],
-    epochs: int,
-    lr: float,
-) -> np.ndarray:
-    """Full-batch SGD of K equal-size datasets as one stack; returns the (K, d) updates.
+def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
+              batch_size: int, rng: np.random.Generator | None) -> np.ndarray:
+    """Plain minibatch SGD (no momentum) from `params`; returns delta = theta_after - theta_before.
 
-    Row k is byte for byte the update `local_train` returns for datasets[k]
-    alone whenever the data fit in one batch: one gradient step per epoch on
-    the data as given. The finiteness check is left to the caller, which
-    knows whom to name.
+    x is one model's (n, width) data with (n,) labels, or a (K, n, width) stack
+    with (K, n) labels; `params` is tiled to x's leading shape, and row k of a
+    stack's (K, d) delta is byte for byte the update of its k-th dataset alone.
+    Each epoch's batches come from `epoch_batches`. A stack shares its batches,
+    so its data must fit in one batch, and `rng`, never drawn from, may be None.
+    The finiteness check is left to the caller, which knows whom to name.
     """
-    if not datasets or len({data.size for data in datasets}) != 1:
-        raise ShapeError("a stack needs one or more datasets of one size")
-    x = np.stack([data.samples for data in datasets])
-    y = np.stack([data.labels for data in datasets])
-    theta = ModelParams(np.tile(params.flat, (len(datasets), 1)), params.shapes)
+    lead, n = x.shape[:-2], x.shape[-2]
+    if lead and n > batch_size:
+        raise ShapeError(f"a stack trains only data that fit in one batch, not {n} records")
+    theta = ModelParams(np.tile(params.flat, lead + (1,)), params.shapes)
     delta = np.zeros(theta.flat.shape)
     for _ in range(epochs):
-        # the (K, d) gradient is left unbound, so it is freed before the next one exists
-        sgd_step(params, theta, delta, loss_and_grad(theta, x, y)[1], lr)
+        for idx in epoch_batches(n, batch_size, rng):
+            # the gradient is left unbound, so it is freed before the next one exists
+            sgd_step(params, theta, delta, loss_and_grad(theta, x[idx], y[idx])[1], lr)
     return delta
 
 
@@ -246,23 +246,15 @@ def local_train(
     batch_size: int,
     seed: int,
 ) -> np.ndarray:
-    """Plain minibatch SGD (no momentum); returns delta = theta_after - theta_before.
+    """`sgd_train` of one dataset, with one generator seeded by `seed`; returns the finite delta.
 
-    Each epoch's batches come from `epoch_batches` with one generator seeded
-    by `seed`, so data that fit in one batch take one gradient step per epoch
-    on the data as given. epochs, lr and batch_size are taken as SimConfig
-    checked them; only the data is checked here.
+    epochs, lr and batch_size are taken as SimConfig checked them; only the
+    data is checked here.
     """
     if data.size < 1:
         raise TrainingError("cannot train on an empty dataset")
-    rng = np.random.default_rng(seed)
-    theta = params.copy()
-    delta = np.zeros(params.dim)
-    for _ in range(epochs):
-        for idx in epoch_batches(data.size, batch_size, rng):
-            _, grad = loss_and_grad(theta, data.samples[idx], data.labels[idx])
-            sgd_step(params, theta, delta, grad, lr)
-    return finite_update(delta)
+    return finite_update(sgd_train(params, data.samples, data.labels, epochs, lr, batch_size,
+                                   np.random.default_rng(seed)))
 
 
 def representation(params: ModelParams, aux: LabeledDataset) -> np.ndarray:

@@ -4,10 +4,15 @@ The layers under the config assume a valid SimConfig and check only array
 shapes (ShapeError) and training failures (TrainingError). The single
 exception is the attackers' pool size, which depends on the partition and
 so can only be checked once the data exists.
+
+The same AST walk holds plain SGD to one trainer: only `model.sgd_train` and
+the alternate family's own epochs cut batches and take steps.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fedsim"
 
@@ -56,3 +61,57 @@ def test_only_the_config_boundary_raises_config_error():
               for where in config_error_raises(path.read_text())}
     assert {name for name, _ in raises} >= BOUNDARY
     assert {(name, where) for name, where in raises if name not in BOUNDARY} == SETUP_CHECKS
+
+
+# the only callers of each training kernel; the weighted-gradient helper
+# also takes gradients, for the alternate family's poison epochs
+TRAINER_CALLS = {
+    "loss_and_grad": {("model.py", "sgd_train"), ("attacks.py", "alternate_attack"),
+                      ("attacks.py", "_weighted_grad")},
+    "sgd_step": {("model.py", "sgd_train"), ("attacks.py", "alternate_attack")},
+    "epoch_batches": {("model.py", "sgd_train"), ("attacks.py", "alternate_attack")},
+}
+
+
+def callers(source: str, name: str) -> list:
+    """Dotted name of the enclosing function or class of each call to `name`, bare or dotted."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append(".".join(scope) or "<module>")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_callers_finds_every_call():
+    source = (
+        "from . import model\n"
+        "from .model import sgd_step\n"
+        "def train(p):\n"
+        "    for _ in range(2):\n"
+        "        sgd_step(p, model.sgd_step(p))\n"
+        "class Attack:\n"
+        "    def run(self):\n"
+        "        return [sgd_step(q) for q in self.qs]\n"
+        "step = sgd_step\n"
+        "def other():\n"
+        "    return sgd_steps()\n"
+        "sgd_step(0)\n"
+    )
+    assert callers(source, "sgd_step") == ["train", "train", "Attack.run", "<module>"]
+
+
+@pytest.mark.parametrize("name", sorted(TRAINER_CALLS))
+def test_only_the_trainer_batches_steps_and_takes_gradients(name):
+    calls = {(path.name, where)
+             for path in sorted(SRC.glob("*.py"))
+             for where in callers(path.read_text(), name)}
+    assert calls == TRAINER_CALLS[name]

@@ -1,5 +1,6 @@
 """Config parsing, overrides, and validation."""
 
+import argparse
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from fedsim.cli import _overrides
 from fedsim.config import AGGREGATORS, ATTACKS, THRESHOLD_MODES, SimConfig, apply_overrides, load_config
 from fedsim.errors import ConfigError
 
@@ -78,6 +80,18 @@ def test_load_with_comments_and_overrides(tmp_path):
     cfg = load_config(path, {"seed": "3"})
     assert cfg.rounds == 5 and cfg.attack == "basic" and cfg.seed == 3
     assert cfg.trigger_values == (2.0, -2.0, 2.0, -2.0)
+
+
+def test_a_key_set_on_two_file_lines_names_both(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("rounds=5\nseed=2\n# again\nrounds=7  # the second one\n")
+    with pytest.raises(ConfigError, match=r"twice\.cfg:4: rounds is already set on line 1$"):
+        load_config(path)
+    # an override still wins over the file, and a repeated --override stays last-wins
+    path.write_text("rounds=5\n")
+    assert load_config(path, {"rounds": "9"}).rounds == 9
+    args = argparse.Namespace(override=["rounds=2", "rounds=3"])
+    assert load_config(path, _overrides(args)).rounds == 3
 
 
 def test_override_types():

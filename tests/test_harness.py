@@ -194,14 +194,14 @@ def test_one_batch_clients_train_as_one_stack_per_size(monkeypatch):
     from fedsim import harness
     clients, theta = stack_clients([20, 7, 20, 80, 7, 20], batch_size=64)
     stacks = []
-    orig = harness.full_batch_train
-    def spy(params, datasets, epochs, lr):
-        stacks.append([d.size for d in datasets])
-        return orig(params, datasets, epochs, lr)
-    monkeypatch.setattr(harness, "full_batch_train", spy)
+    orig = harness.sgd_train
+    def spy(params, x, y, *args):
+        stacks.append(y.shape)
+        return orig(params, x, y, *args)
+    monkeypatch.setattr(harness, "sgd_train", spy)
     selected = [0, 1, 3, 4, 5]
     updates = clients.updates(theta, selected, 2)
-    assert stacks == [[20, 20], [7, 7]]  # client 3 holds more than one batch
+    assert stacks == [(2, 20), (2, 7)]  # client 3 holds more than one batch
     cfg = clients.cfg
     for cid, delta in zip(selected, updates):
         alone = local_train(theta, clients.partitions[cid], cfg.epochs, cfg.lr_client,
@@ -212,12 +212,12 @@ def test_one_batch_clients_train_as_one_stack_per_size(monkeypatch):
 def test_non_finite_stack_row_names_its_own_client(monkeypatch):
     from fedsim import harness
     clients, theta = stack_clients([20] * 8)
-    orig = harness.full_batch_train
-    def third_row_diverges(params, datasets, epochs, lr):
-        rows = orig(params, datasets, epochs, lr)
+    orig = harness.sgd_train
+    def third_row_diverges(*args):
+        rows = orig(*args)
         rows[2, 5] = np.nan
         return rows
-    monkeypatch.setattr(harness, "full_batch_train", third_row_diverges)
+    monkeypatch.setattr(harness, "sgd_train", third_row_diverges)
     with pytest.raises(TrainingError, match=r"^round 3, client 6: non-finite update$"):
         clients.updates(theta, [1, 4, 6, 7], 3)
 
@@ -338,7 +338,7 @@ def test_run_and_write_outputs(tmp_path):
 
 def test_cli_run_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "t.cfg"
-    lines = [f"{k}={v}" for k, v in TINY.items()] + ["rounds=2"]
+    lines = [f"{k}={v}" for k, v in {**TINY, "rounds": 2}.items()]
     cfg_path.write_text("\n".join(lines) + "\n")
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out_dir), "--override", "seed=2"]) == 0
@@ -358,7 +358,7 @@ def test_cli_run_and_report(tmp_path, capsys):
 
 def test_cli_repeats_mean_summary(tmp_path):
     cfg_path = tmp_path / "t.cfg"
-    lines = [f"{k}={v}" for k, v in TINY.items()] + ["rounds=2"]
+    lines = [f"{k}={v}" for k, v in {**TINY, "rounds": 2}.items()]
     cfg_path.write_text("\n".join(lines) + "\n")
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out_dir), "--repeats", "2"]) == 0
@@ -368,7 +368,7 @@ def test_cli_repeats_mean_summary(tmp_path):
 
 def test_report_names_each_sweep_run_by_its_path(tmp_path, capsys):
     cfg_path = tmp_path / "t.cfg"
-    cfg_path.write_text("\n".join([f"{k}={v}" for k, v in TINY.items()] + ["rounds=1"]) + "\n")
+    cfg_path.write_text("\n".join([f"{k}={v}" for k, v in {**TINY, "rounds": 1}.items()]) + "\n")
     out_dir = tmp_path / "sweep"
     assert main(["sweep", str(cfg_path), "--param", "noniid_p", "--values", "0.0,0.8",
                  "--out", str(out_dir)]) == 0
@@ -383,7 +383,7 @@ def test_report_names_each_sweep_run_by_its_path(tmp_path, capsys):
 
 def test_cli_sweep(tmp_path):
     cfg_path = tmp_path / "t.cfg"
-    lines = [f"{k}={v}" for k, v in TINY.items()] + ["rounds=2"]
+    lines = [f"{k}={v}" for k, v in {**TINY, "rounds": 2}.items()]
     cfg_path.write_text("\n".join(lines) + "\n")
     out_dir = tmp_path / "sweep"
     assert main(["sweep", str(cfg_path), "--param", "noniid_p",
@@ -412,6 +412,10 @@ def test_cli_zero_batch_size_is_one_config_error(tmp_path, capsys):
     (["run", "--override", "hidden_dims=3;x"], "hidden_dims"),
     (["run", "--override", "rounds"], "--override"),          # no '='
     (["run", "--override", "out_dir=runs#1"], "out_dir"),     # taken whole, no comment cut
+    # a repeat would run again into the same files; --out sets every run's directory
+    (["sweep", "--param", "noniid_p", "--values", "0.5", "--seeds", "1,1"], "--seeds"),
+    (["sweep", "--param", "noniid_p", "--values", "0.0,0.0"], "--values"),
+    (["sweep", "--param", "out_dir", "--values", "a,b"], "out_dir"),
 ])
 def test_cli_bad_arguments_are_one_config_error(tmp_path, capsys, monkeypatch, argv, flag):
     # a seed sweep used to run the config's own seed under every label
@@ -500,7 +504,7 @@ def test_dba_global_trigger_beats_parts():
 
 def test_cli_determinism_byte_identical(tmp_path):
     cfg_path = tmp_path / "t.cfg"
-    lines = [f"{k}={v}" for k, v in TINY.items()] + ["rounds=3", "attack=basic"]
+    lines = [f"{k}={v}" for k, v in {**TINY, "rounds": 3, "attack": "basic"}.items()]
     cfg_path.write_text("\n".join(lines) + "\n")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", str(cfg_path), "--out", str(out_a)]) == 0

@@ -13,13 +13,13 @@ from fedsim.model import (
     ModelParams,
     epoch_batches,
     forward,
-    full_batch_train,
     init_model,
     last_layer_weight_block,
     local_train,
     loss_and_grad,
     param_dim,
     representation,
+    sgd_train,
     softmax,
 )
 
@@ -285,15 +285,13 @@ def test_epoch_batches_cut_one_fresh_permutation_per_epoch(n, batch_size, epochs
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(epochs):
         batches = epoch_batches(n, batch_size, rng)
-        joined = np.concatenate(batches)
-        assert sorted(joined.tolist()) == list(range(n))
         if n <= batch_size:
             # the data as given, and no draw from the generator
-            assert len(batches) == 1 and joined.tolist() == list(range(n))
+            assert batches == [slice(None)]
             assert rng.bit_generator.state == twin.bit_generator.state
         else:
             assert all(len(batch) == batch_size for batch in batches[:-1])
-            assert joined.tolist() == twin.permutation(n).tolist()
+            assert np.concatenate(batches).tolist() == twin.permutation(n).tolist()
 
 
 # a stack of models is K models side by side: every oracle below compares it
@@ -328,13 +326,15 @@ def test_stacked_loss_and_grad_equals_one_call_per_model(k, n, hidden, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(**STACKS, extra=st.integers(0, 60), epochs=st.integers(1, 4))
-def test_full_batch_train_rows_equal_local_train_alone(k, n, hidden, seed, extra, epochs):
+def test_sgd_train_stack_rows_equal_local_train_alone(k, n, hidden, seed, extra, epochs):
     model, datasets = stack_case(k, n, hidden, seed)
     lr = 0.3
-    rows = full_batch_train(model, datasets, epochs, lr)
+    x = np.stack([d.samples for d in datasets])
+    y = np.stack([d.labels for d in datasets])
+    # any batch size that holds the whole dataset trains it in one step per epoch
+    rows = sgd_train(model, x, y, epochs, lr, n + extra, None)
     assert rows.shape == (k, model.dim)
     for row, data in zip(rows, datasets):
-        # any batch size that holds the whole dataset trains it in one step per epoch
         assert row.tobytes() == local_train(model, data, epochs, lr, n + extra, seed).tobytes()
         # and that step is plain full-batch SGD written out with one-model calls
         theta, delta = model.copy(), np.zeros(model.dim)
@@ -345,13 +345,14 @@ def test_full_batch_train_rows_equal_local_train_alone(k, n, hidden, seed, extra
         assert row.tobytes() == delta.tobytes()
 
 
-def test_full_batch_train_needs_datasets_of_one_size():
+def test_sgd_train_refuses_a_stack_beyond_one_batch():
+    # a stack shares its batches, so only data that fit in one batch may stack
     rng = np.random.default_rng(13)
     model = init_model([8, 6, 4], seed=3)
-    with pytest.raises(ShapeError):
-        full_batch_train(model, [rand_batch(rng, 5, 8, 4), rand_batch(rng, 6, 8, 4)], 1, 0.1)
-    with pytest.raises(ShapeError):
-        full_batch_train(model, [], 1, 0.1)
+    x, y = rng.standard_normal((2, 10, 8)), rng.integers(0, 4, (2, 10))
+    with pytest.raises(ShapeError, match="one batch"):
+        sgd_train(model, x, y, 1, 0.1, 9, np.random.default_rng(0))
+    assert sgd_train(model, x, y, 1, 0.1, 10, None).shape == (2, model.dim)
 
 
 @settings(max_examples=40, deadline=None)
