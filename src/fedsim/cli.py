@@ -102,6 +102,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not summaries:
         print(f"no summaries under {root}", file=sys.stderr)
         return 1
+    loaded = []
+    for path in summaries:
+        try:
+            s = json.loads(path.read_text())
+        except ValueError:  # not JSON, or not UTF-8 text
+            s = None
+        if not isinstance(s, dict):
+            print(f"{path} is not a JSON object", file=sys.stderr)
+            return 1
+        loaded.append(s)
 
     def cell(value, width):
         if isinstance(value, float):
@@ -113,8 +123,7 @@ def cmd_report(args: argparse.Namespace) -> int:
              for p in summaries]
     width = max(len("run"), *map(len, names))
     print(" ".join([f"{'run':{width}s}"] + [f"{key:>{len(key)}s}" for key in SUMMARY_METRICS]))
-    for name, path in zip(names, summaries):
-        s = json.loads(path.read_text())
+    for name, s in zip(names, loaded):
         print(" ".join([f"{name:{width}s}"] + [cell(s.get(key), len(key)) for key in SUMMARY_METRICS]))
     return 0
 
@@ -161,7 +170,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ShapeError, TrainingError) as exc:
+    except (ShapeError, TrainingError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

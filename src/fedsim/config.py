@@ -244,7 +244,13 @@ def load_config(path: Path | str | None, overrides: dict[str, str] | None = None
     parsed: dict[str, str] = {}
     first: dict[str, int] = {}
     if path is not None:
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"{path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0]
             if line.strip():
                 key, value = split_setting(line, f"{path}:{lineno}")

@@ -166,10 +166,10 @@ def write_csv(records: Sequence[RoundRecord], path: Path | str) -> None:
 
 
 # One round of server-side aggregation: (theta, the (n, d) update matrix whose
-# row i is selected[i]'s update, selected ids, round) -> (new theta, the
-# round's record before evaluation).
+# row i is selected[i]'s update, selected ids, round) -> (the (d,) step the
+# round adds to theta, the round's record before evaluation).
 Aggregator = Callable[[ModelParams, np.ndarray, List[int], int],
-                      Tuple[ModelParams, RoundRecord]]
+                      Tuple[np.ndarray, RoundRecord]]
 
 
 def run_experiment(cfg: SimConfig) -> ExperimentResult:
@@ -195,7 +195,8 @@ def run_experiment(cfg: SimConfig) -> ExperimentResult:
     records: List[RoundRecord] = []
     for t in range(cfg.rounds):
         selected = select_clients(cfg.n_clients, cfg.selection_ratio, t, cfg.seed)
-        theta, record = aggregate(theta, clients.updates(theta, selected, t), selected, t)
+        step, record = aggregate(theta, clients.updates(theta, selected, t), selected, t)
+        theta = ModelParams(theta.flat + step, theta.shapes)
         record.accuracy, record.asr, record.asr_defined = evaluate(
             theta, test, trigger, cfg.base_count)
         records.append(record)
@@ -303,7 +304,7 @@ class ClusterVote:
     """The four-stage defense as a stateful aggregator.
 
     Each round runs inference, clustering, voting, trust, discard and
-    weighted aggregation. Indicator vectors are summed over each client's
+    weighted aggregation into the round's step. Indicator vectors are summed over each client's
     past selections: one local update carries heavy sample noise, but the
     class-count signal is persistent, so the running estimate sharpens the
     inferred sufficiency columns as the run progresses.
@@ -338,7 +339,7 @@ class ClusterVote:
         return self.indicator_sum[selected]
 
     def __call__(self, theta: ModelParams, U: np.ndarray,
-                 selected: List[int], t: int) -> Tuple[ModelParams, RoundRecord]:
+                 selected: List[int], t: int) -> Tuple[np.ndarray, RoundRecord]:
         cfg = self.cfg
         indicators = inference.class_indicator(
             inference.recover_last_layer_gradient(U, theta.shapes, cfg.lr_client))
@@ -357,15 +358,12 @@ class ClusterVote:
             reps = representation(ModelParams(theta.flat + U, theta.shapes), self.aux_rep)
             votes += trust.cluster_votes(x, reps, k_vote)
 
-        prev = self.ledger.immediate  # last round's array; update() replaces it
+        # the discard reads last round's trust, which update() then overwrites
+        discard = trust.median_discard(self.ledger.immediate, selected)
         accumulated = self.ledger.update(selected, votes)
-        discard = trust.median_discard(prev, selected)
-
         kept = ~discard
-        flagged = not kept.any()
-        if not flagged:
-            theta = trust.aggregate(theta, U[kept], accumulated[kept], cfg.lr_server,
-                                    toward_clients=not cfg.strict_paper_sign)
+        sign = -1.0 if cfg.strict_paper_sign else 1.0
+        step = sign * cfg.lr_server * trust.aggregate(U[kept], accumulated[kept])
 
         sizes, memberships = clustering.membership_histograms(x)
         ids = np.asarray(selected)
@@ -386,9 +384,9 @@ class ClusterVote:
             honest_trust=float(np.mean(accumulated[~mal])) if not mal.all() else None,
             inferred_columns=["".join(str(b) for b in column) for column in A_hat.T],
             indicators=["|".join(f"{v:.9g}" for v in u) for u in indicators],
-            flagged=flagged,
+            flagged=not kept.any(),
         )
-        return theta, record
+        return step, record
 
 
 def _baseline_round(
@@ -398,8 +396,8 @@ def _baseline_round(
     updates: np.ndarray,
     selected: List[int],
     t: int,
-) -> Tuple[ModelParams, RoundRecord]:
-    """One of the five reference aggregators; its record has no defense fields."""
+) -> Tuple[np.ndarray, RoundRecord]:
+    """The step of one of the five reference aggregators; its record has no defense fields."""
     if cfg.aggregator == "fedavg":
         step = baselines.fedavg(updates)
     elif cfg.aggregator == "krum":
@@ -412,7 +410,7 @@ def _baseline_round(
         server = local_train(theta, aux, cfg.epochs, cfg.lr_client, cfg.batch_size,
                              derive_seed(cfg.seed, _SERVER, t))
         step = baselines.fltrust(updates, server)
-    return ModelParams(theta.flat + step, theta.shapes), RoundRecord(t, selected)
+    return step, RoundRecord(t, selected)
 
 
 def run_and_write(cfg: SimConfig, out_dir: Path | str | None = None) -> Dict[str, object]:

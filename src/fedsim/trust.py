@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .model import ModelParams, softmax
+from .model import softmax
 
 ZERO_NORM_EPS = 1e-12
 
@@ -103,14 +103,13 @@ class TrustLedger:
         Immediate trust T is the softmax of the vote counts; for clients
         selected in every round the result normalizes sum_s gamma^(t-s) T^s.
         The sum is positive: softmax's largest entry is 1/sum(exp(K - max K)).
-        `immediate` is replaced by a new array, so a caller holding the old
-        one keeps last round's values.
+        `immediate` is overwritten in place, so a discard must read it first.
         """
         selected = np.asarray(selected, dtype=np.int64)
         if len(selected) != len(K_selected):
             raise ShapeError("selected ids and vote counts disagree on length")
         T_now = softmax(np.asarray(K_selected, dtype=np.float64))
-        self.immediate = np.full(self.num_clients, np.nan)
+        self.immediate.fill(np.nan)
         self.immediate[selected] = T_now
         self.accumulated_raw[selected] = self.gamma * self.accumulated_raw[selected] + T_now
         raw = self.accumulated_raw[selected]
@@ -129,27 +128,18 @@ def median_discard(prev_immediate: np.ndarray, selected: Sequence[int]) -> np.nd
     return prev_immediate[np.asarray(selected, dtype=np.int64)] < np.median(last)
 
 
-def aggregate(
-    theta: ModelParams,
-    updates: Sequence[np.ndarray],
-    trust: Sequence[float],
-    lr_server: float,
-    toward_clients: bool = True,
-) -> ModelParams:
-    """Trust-weighted average of direction-normalized updates applied to the global model.
+def aggregate(updates: np.ndarray, trust: np.ndarray) -> np.ndarray:
+    """Trust-weighted sum of the direction-normalized rows of an (n, d) update matrix.
 
     Each update is scaled to unit norm first so magnitude boosting buys an
-    attacker nothing; zero-norm updates are skipped. `toward_clients`
-    selects the convergent sign (global model moves toward the clients');
-    False applies the raw update-subtracting rule instead.
+    attacker nothing; zero-norm updates are skipped, and no rows sum to zero.
     """
     if len(updates) != len(trust):
         raise ShapeError("updates and trust weights disagree on length")
-    step = np.zeros_like(theta.flat)
+    step = np.zeros(updates.shape[1])
     for upd, t in zip(updates, trust):
         norm = np.linalg.norm(upd)
         if norm < ZERO_NORM_EPS:
             continue
         step += t * upd / norm
-    sign = 1.0 if toward_clients else -1.0
-    return ModelParams(theta.flat + sign * lr_server * step, theta.shapes)
+    return step

@@ -190,9 +190,9 @@ def test_boost_invisible_after_normalized_aggregation(setup):
                           knobs(poison_count=20, epochs=2, boost=1.0), seed=11)
     d5 = alternate_attack(model, clean, pool, benign,
                           knobs(poison_count=20, epochs=2, boost=5.0), seed=11)
-    out1 = aggregate(model, [d1], [0.3], lr_server=0.1)
-    out5 = aggregate(model, [d5], [0.3], lr_server=0.1)
-    assert np.max(np.abs(out1.flat - out5.flat)) < 1e-12
+    out1 = aggregate(d1[None], np.array([0.3]))
+    out5 = aggregate(d5[None], np.array([0.3]))
+    assert np.max(np.abs(out1 - out5)) < 1e-12
 
 
 def test_sybil_copies_are_byte_identical(setup):

@@ -6,7 +6,10 @@ exception is the attackers' pool size, which depends on the partition and
 so can only be checked once the data exists.
 
 The same AST walk holds plain SGD to one trainer: only `model.sgd_train` and
-the alternate family's own epochs cut batches and take steps.
+the alternate family's own epochs cut batches and take steps. It also keeps
+aggregation on plain arrays: only the model, the attacks and the round loop
+name `ModelParams`, so trust, the baselines, clustering and inference take
+and return ndarrays.
 """
 
 import ast
@@ -115,3 +118,42 @@ def test_only_the_trainer_batches_steps_and_takes_gradients(name):
              for path in sorted(SRC.glob("*.py"))
              for where in callers(path.read_text(), name)}
     assert calls == TRAINER_CALLS[name]
+
+
+# the modules that hold a model as ModelParams; aggregation takes and returns arrays
+MODEL_HOLDERS = {"model.py", "attacks.py", "harness.py"}
+
+
+def lines_naming(source: str, name: str) -> list:
+    """Line of each import, definition, bare name or attribute that is `name`; not strings."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            named = name in (node.name, node.asname)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            named = node.name == name
+        else:
+            named = getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+        if named:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_lines_naming_finds_every_name():
+    source = (
+        "from .model import ModelParams as MP\n"
+        "from . import model\n"
+        "class ModelParams:\n"
+        "    pass\n"
+        "def step(theta: model.ModelParams) -> np.ndarray:\n"
+        "    \"\"\"Takes a ModelParams, returns an array.\"\"\"\n"
+        "    return ModelParams(theta.flat, theta.shapes).flat\n"
+        "ModelParamsLike = 'ModelParams'\n"
+    )
+    assert lines_naming(source, "ModelParams") == [1, 3, 5, 7]
+
+
+def test_only_the_model_attacks_and_round_loop_name_model_params():
+    holders = {path.name for path in sorted(SRC.glob("*.py"))
+               if lines_naming(path.read_text(), "ModelParams")}
+    assert holders == MODEL_HOLDERS

@@ -126,6 +126,25 @@ def test_run_records_structure_baseline():
         assert r.votes == [] and r.accumulated == []
 
 
+def test_flagged_round_leaves_theta_unchanged(monkeypatch):
+    # a round that discards every client aggregates no rows: its zero step
+    # leaves theta byte for byte as it was, and its record is flagged
+    from fedsim import harness, trust
+    discard_all = iter([False, True, False])
+    def second_round_discards_all(prev_immediate, selected):
+        return np.full(len(selected), next(discard_all))
+    thetas = []
+    def recording_evaluate(params, *args):
+        thetas.append(params.flat.tobytes())
+        return evaluate(params, *args)
+    monkeypatch.setattr(trust, "median_discard", second_round_discards_all)
+    monkeypatch.setattr(harness, "evaluate", recording_evaluate)
+    res = run_experiment(tiny_cfg(rounds=3))
+    assert [r.flagged for r in res.records] == [False, True, False]
+    assert res.records[1].to_csv_row().endswith(",1")
+    assert thetas[1] == thetas[0] and thetas[2] != thetas[1]
+
+
 def test_all_aggregators_and_attacks_execute():
     for agg in ("fedavg", "krum", "median", "trim", "fltrust", "clustervote"):
         res = run_experiment(tiny_cfg(rounds=2, aggregator=agg, agg_f=1))
@@ -416,6 +435,12 @@ def test_cli_zero_batch_size_is_one_config_error(tmp_path, capsys):
     (["sweep", "--param", "noniid_p", "--values", "0.5", "--seeds", "1,1"], "--seeds"),
     (["sweep", "--param", "noniid_p", "--values", "0.0,0.0"], "--values"),
     (["sweep", "--param", "out_dir", "--values", "a,b"], "out_dir"),
+    # a config file that cannot be read names its path and why ({tmp} is the test's directory)
+    (["run", "{tmp}/missing.cfg"], "missing.cfg: No such file"),
+    (["sweep", "{tmp}/missing.cfg", "--param", "rounds", "--values", "1"],
+     "missing.cfg: No such file"),
+    (["run", "{tmp}/configs"], "configs: Is a directory"),
+    (["run", "{tmp}/latin1.cfg"], "latin1.cfg: not UTF-8 text"),
 ])
 def test_cli_bad_arguments_are_one_config_error(tmp_path, capsys, monkeypatch, argv, flag):
     # a seed sweep used to run the config's own seed under every label
@@ -423,6 +448,9 @@ def test_cli_bad_arguments_are_one_config_error(tmp_path, capsys, monkeypatch, a
     def no_run(*args, **kw):
         raise AssertionError("ran an experiment")
     monkeypatch.setattr(cli, "run_and_write", no_run)
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes("attack=basic # café\n".encode("latin-1"))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
@@ -483,6 +511,29 @@ def test_cli_run_failure_is_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_and_write", malformed)
     assert main(["run", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "run failed: bad shape\n"
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--param", "rounds", "--values", "1"]])
+def test_cli_uncreatable_output_is_one_line(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([*argv, "--out", str(blocker / "x")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("run failed: ") and "Not a directory" in err[0]
+
+
+@pytest.mark.parametrize("text", ["rounds=1\n", "[1, 2]\n"])
+def test_report_on_a_summary_that_is_no_json_object_is_one_line(tmp_path, capsys, text):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "summary_good.json").write_text(json.dumps({"final_accuracy": 0.5}))
+    bad = tmp_path / "b" / "summary_bad.json"
+    bad.parent.mkdir()
+    bad.write_text(text)
+    assert main(["report", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # no table is started
+    assert err == f"{bad} is not a JSON object\n"
 
 
 def test_dba_global_trigger_beats_parts():

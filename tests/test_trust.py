@@ -1,14 +1,18 @@
 """Voting trust: similarity, votes, softmax, accumulation, discard, aggregation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim.config import SimConfig
+from fedsim.data import class_means, gen_dataset
 from fedsim.errors import ShapeError
-from fedsim.model import ModelParams, param_dim, softmax
+from fedsim.harness import ClusterVote
+from fedsim.model import init_model, softmax
 from fedsim.trust import (
     TrustLedger,
     aggregate,
@@ -285,15 +289,17 @@ def test_trust_arrays_match_dict_reference(gamma, rounds):
     # round by round, as the defense runs them: discard from last round's
     # immediate trust, then record this round's votes; every value bit for bit
     ledger, reference = TrustLedger(num_clients=10, gamma=gamma), DictLedger(10, gamma)
+    immediate = ledger.immediate
     for picks in rounds:
         selected = [cid for cid, _ in picks]
         votes = np.array([v for _, v in picks])
-        prev, ref_prev = ledger.immediate, reference.immediate
+        dropped = reference.median_discard(reference.immediate, selected)
+        discard = median_discard(ledger.immediate, selected)
+        assert discard.tolist() == [c in dropped for c in selected]
         assert np.array_equal(ledger.update(selected, votes), reference.update(selected, votes))
+        assert ledger.immediate is immediate  # written in place
         assert ledger.immediate[selected].tolist() == [reference.immediate[c] for c in selected]
         assert np.isnan(np.delete(ledger.immediate, selected)).all()
-        dropped = reference.median_discard(ref_prev, selected)
-        assert median_discard(prev, selected).tolist() == [c in dropped for c in selected]
 
 
 def test_two_round_discard_scenario():
@@ -301,68 +307,72 @@ def test_two_round_discard_scenario():
     # excluded from round t's aggregation
     ledger = TrustLedger(num_clients=5, gamma=0.1)
     ledger.update([0, 1, 2], np.array([4, 3, 0]))          # round t-1: client 2 bottom
-    prev = ledger.immediate
-    ledger.update([1, 2, 3], np.array([1, 1, 1]))          # round t replaces, not edits, prev
-    discard = median_discard(prev, [1, 2, 3])              # round t selection
+    immediate = ledger.immediate
+    discard = median_discard(ledger.immediate, [1, 2, 3])  # round t reads t-1's trust first
+    ledger.update([1, 2, 3], np.array([1, 1, 1]))          # then overwrites it in place
+    assert ledger.immediate is immediate
+    assert np.allclose(immediate[[1, 2, 3]], 1 / 3) and np.isnan(immediate[[0, 4]]).all()
     assert discard.tolist() == [False, True, False]
-    theta = ModelParams(np.zeros(param_dim([(2, 3)])), [(2, 3)])
-    updates = np.ones((3, theta.dim))
+    updates = np.ones((3, 6))
     weights = np.array([0.5, 0.4, 0.1])
-    out = aggregate(theta, updates[~discard], weights[~discard], lr_server=1.0)
-    expected = aggregate(theta, [updates[0], updates[2]], [0.5, 0.1], lr_server=1.0)
-    assert np.array_equal(out.flat, expected.flat)
+    out = aggregate(updates[~discard], weights[~discard])
+    expected = aggregate(updates[[0, 2]], np.array([0.5, 0.1]))
+    assert np.array_equal(out, expected)
 
 
 def test_aggregate_sign_check_paper_rule():
     # spec example: delta = -|delta| * g_hat moves the model by +lambda * g_hat
-    # under the literal update-subtracting rule
-    shapes = [(2, 3)]
-    theta = ModelParams(np.zeros(param_dim(shapes)), shapes)
+    # under the literal update-subtracting rule; the default convergent sign
+    # moves toward the client model instead
+    cfg = SimConfig(n_clients=4, num_malicious=0, shards=4, selection_ratio=0.5, lr_server=0.3)
+    aux = gen_dataset(cfg.num_classes, cfg.input_dim, 5, seed=1,
+                      means=class_means(cfg.num_classes, cfg.input_dim, seed=1))
+    ground_truth = np.ones((cfg.num_classes, cfg.n_clients), dtype=np.uint8)
+    theta = init_model(cfg.layer_dims, seed=2)
     g_hat = np.zeros(theta.dim)
     g_hat[0] = 1.0
-    delta = -5.0 * g_hat
-    out = aggregate(theta, [delta], [1.0], lr_server=0.3, toward_clients=False)
-    assert np.allclose(out.flat, 0.3 * g_hat, atol=1e-15)
-    # default convergent sign moves toward the client model instead
-    out2 = aggregate(theta, [delta], [1.0], lr_server=0.3)
-    assert np.allclose(out2.flat, -0.3 * g_hat, atol=1e-15)
+    U = np.stack([-5.0 * g_hat, -2.0 * g_hat])  # one direction: the trust weights sum to one
+    for strict_paper_sign, direction in ((True, 1.0), (False, -1.0)):
+        defense = ClusterVote(replace(cfg, strict_paper_sign=strict_paper_sign), ground_truth, aux)
+        step, record = defense(theta, U, [0, 3], 0)
+        assert not record.flagged
+        assert np.allclose(step, direction * 0.3 * g_hat, atol=1e-15)
 
 
 def test_aggregate_opposite_updates_cancel():
-    shapes = [(2, 3)]
-    theta = ModelParams(np.ones(param_dim(shapes)), shapes)
-    u = np.zeros(theta.dim)
+    u = np.zeros(6)
     u[1] = 2.0
-    out = aggregate(theta, [u, -u], [0.5, 0.5], lr_server=1.0)
-    assert np.allclose(out.flat, theta.flat, atol=1e-15)
+    out = aggregate(np.stack([u, -u]), np.array([0.5, 0.5]))
+    assert np.allclose(out, 0.0, atol=1e-15)
 
 
 def test_aggregate_matches_naive_oracle():
     rng = np.random.default_rng(7)
-    shapes = [(4, 5)]
-    theta = ModelParams(rng.standard_normal(param_dim(shapes)), shapes)
-    deltas = [rng.standard_normal(theta.dim) for _ in range(5)]
+    deltas = rng.standard_normal((5, 24))
     trust = rng.random(5)
-    out = aggregate(theta, deltas, trust, lr_server=0.2)
-    naive = theta.flat + 0.2 * sum(t * d / np.linalg.norm(d) for t, d in zip(trust, deltas))
-    assert np.max(np.abs(out.flat - naive)) < 1e-10
+    out = aggregate(deltas, trust)
+    naive = sum(t * d / np.linalg.norm(d) for t, d in zip(trust, deltas))
+    assert out.shape == (24,)
+    assert np.max(np.abs(out - naive)) < 1e-10
 
 
 def test_aggregate_skips_zero_norm_and_validates():
-    shapes = [(2, 3)]
-    theta = ModelParams(np.zeros(param_dim(shapes)), shapes)
-    out = aggregate(theta, [np.zeros(theta.dim)], [1.0], lr_server=1.0)
-    assert np.array_equal(out.flat, theta.flat)
+    out = aggregate(np.zeros((1, 6)), np.array([1.0]))
+    assert np.array_equal(out, np.zeros(6))
     with pytest.raises(ShapeError):
-        aggregate(theta, [np.ones(theta.dim)], [0.5, 0.5], lr_server=1.0)
+        aggregate(np.ones((1, 6)), np.array([0.5, 0.5]))
+
+
+def test_aggregate_of_no_rows_is_a_zero_step():
+    # a round that discards everyone aggregates zero rows
+    out = aggregate(np.empty((0, 7)), np.empty(0))
+    assert out.shape == (7,) and not out.any()
 
 
 def test_aggregate_scale_invariance():
     # boosting an update's magnitude does not change its contribution
     rng = np.random.default_rng(8)
-    shapes = [(3, 3)]
-    theta = ModelParams(np.zeros(param_dim(shapes)), shapes)
-    d = rng.standard_normal(theta.dim)
-    a = aggregate(theta, [d], [0.7], lr_server=0.5)
-    b = aggregate(theta, [50.0 * d], [0.7], lr_server=0.5)
-    assert np.max(np.abs(a.flat - b.flat)) < 1e-12
+    d = rng.standard_normal((1, 12))
+    a = aggregate(d, np.array([0.7]))
+    b = aggregate(50.0 * d, np.array([0.7]))
+    assert np.max(np.abs(a - b)) < 1e-12
