@@ -19,7 +19,20 @@ from .data import LabeledDataset, TriggerPattern, concat_datasets
 from .errors import TrainingError
 from .inference import class_indicator, recover_last_layer_gradient
 from .model import (ModelParams, Shapes, epoch_batches, finite_update, last_layer_weight_block,
-                    local_train, loss_and_grad, sgd_step)
+                    local_train, loss_and_grad, sgd_step, sgd_train)
+
+# the attack surface; local_train stays while perfbench's tracer tests expect
+# to find it bound here, as in the package root
+__all__ = [
+    "FORGE_MARGIN",
+    "adaptive_attack",
+    "alternate_attack",
+    "basic_attack",
+    "forge_full_claim",
+    "local_train",
+    "make_poison_pool",
+    "sybil_updates",
+]
 
 
 def make_poison_pool(base: LabeledDataset, trig: TriggerPattern) -> LabeledDataset:
@@ -37,14 +50,22 @@ def _training_set(clean: LabeledDataset, poison: LabeledDataset, count: int) -> 
 
 def basic_attack(
     global_params: ModelParams,
-    clean: LabeledDataset,
-    poison: LabeledDataset,
+    cleans: Sequence[LabeledDataset],
+    pools: Sequence[LabeledDataset],
     cfg: SimConfig,
-    seed: int,
+    seeds: Sequence[int],
 ) -> np.ndarray:
-    """Plain data poisoning: honest SGD over clean + triggered records."""
-    mixed = _training_set(clean, poison, cfg.poison_count)
-    return local_train(global_params, mixed, cfg.epochs, cfg.lr_client, cfg.batch_size, seed)
+    """Plain data poisoning by K attackers at once: honest SGD over each one's clean + triggered records.
+
+    The K clean sets share one size, so their training sets do too, and train as one
+    `sgd_train` stack. Row k of the (K, d) result is byte for byte attacker k's own
+    update, trained alone with a generator seeded by seeds[k]; the finiteness check is
+    left to the caller, which knows whom to name.
+    """
+    mixed = [_training_set(clean, pool, cfg.poison_count) for clean, pool in zip(cleans, pools)]
+    return sgd_train(global_params, np.stack([m.samples for m in mixed]),
+                     np.stack([m.labels for m in mixed]), cfg.epochs, cfg.lr_client,
+                     cfg.batch_size, [np.random.default_rng(seed) for seed in seeds])
 
 
 def alternate_attack(

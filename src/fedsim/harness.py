@@ -7,11 +7,12 @@ runs produce byte-identical CSV output.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,24 +245,21 @@ class _Clients:
     def updates(self, theta: ModelParams, selected: Sequence[int], t: int) -> np.ndarray:
         """The round's update matrix: row i is client selected[i]'s update, shape (n, d).
 
-        Honest clients whose data fit in one batch train first, as one
-        stacked model per data size; that is byte for byte their own
-        `local_train`. Sybil colluders all submit copies of one update,
-        trained when the first of them comes up. Every row is checked to be
-        finite, and a failure names the client whose row it is.
+        The stacks train first, one per kind and data size: honest clients whose data
+        fit in one batch as one `sgd_train` stack, and basic or dba attackers, by the
+        size of their clean data, as one `attacks.basic_attack` stack. Each row is byte
+        for byte that client trained alone. Sybil colluders all submit copies of one
+        update, trained when the first of them comes up. Every row is checked to be
+        finite, and a failure names the client whose row it is; a stack that fails
+        names its first client.
         """
         cfg = self.cfg
-        stacks: Dict[int, List[int]] = {}
-        for i, cid in enumerate(selected):
-            size = self.partitions[cid].size
-            if cid not in self.pools and 1 <= size <= cfg.batch_size:
-                stacks.setdefault(size, []).append(i)
-        # the stacked data are built inside the call, so they are freed once it returns
-        trained = [(rows, sgd_train(theta,
-                                    np.stack([self.partitions[selected[i]].samples for i in rows]),
-                                    np.stack([self.partitions[selected[i]].labels for i in rows]),
-                                    cfg.epochs, cfg.lr_client, cfg.batch_size, None))
-                   for rows in stacks.values()]
+        trained = []
+        for poisoned, rows in self._stacks(selected):
+            ids = [selected[i] for i in rows]
+            with _naming(t, ids[0]):
+                block = self._poisoners(theta, ids, t) if poisoned else self._honest(theta, ids)
+            trained.append((rows, block))
         # allocated once the stacks' training buffers are freed, so they never coexist
         U = np.empty((len(selected), theta.dim))
         filled = np.zeros(len(selected), dtype=bool)
@@ -269,7 +267,7 @@ class _Clients:
             U[rows] = block
             filled[rows] = True
         for i, cid in enumerate(selected):
-            try:
+            with _naming(t, cid):
                 if filled[i]:
                     pass  # stacked, or a sybil copy made with its leader's update
                 elif cid not in self.pools:
@@ -283,21 +281,56 @@ class _Clients:
                 else:
                     U[i] = self._attack(cfg.attack, theta, cid, t)
                 finite_update(U[i])
-            except (ShapeError, TrainingError) as exc:
-                raise type(exc)(f"round {t}, client {cid}: {exc}") from exc
         return U
 
+    def _stacks(self, selected: Sequence[int]) -> List[Tuple[bool, List[int]]]:
+        """(poisoned, rows of `selected`) of each stack, in the order of its first row.
+
+        Honest clients whose data fit in one batch stack by data size, and so do basic
+        and dba attackers (dba differs only in its pools' trigger slices) by the size of
+        their clean data. Nobody else stacks.
+        """
+        cfg = self.cfg
+        stacks: Dict[Tuple[bool, int], List[int]] = {}
+        for i, cid in enumerate(selected):
+            poisoned, size = cid in self.pools, self.partitions[cid].size
+            if cfg.attack in ("basic", "dba") if poisoned else 1 <= size <= cfg.batch_size:
+                stacks.setdefault((poisoned, size), []).append(i)
+        return [(poisoned, rows) for (poisoned, _), rows in stacks.items()]
+
+    def _honest(self, theta: ModelParams, ids: Sequence[int]) -> np.ndarray:
+        """The updates of honest clients `ids`, whose data share a size and fit one batch."""
+        cfg = self.cfg
+        # the stacked data are built inside the call, so they are freed once it returns
+        return sgd_train(theta, np.stack([self.partitions[cid].samples for cid in ids]),
+                         np.stack([self.partitions[cid].labels for cid in ids]),
+                         cfg.epochs, cfg.lr_client, cfg.batch_size, None)
+
+    def _poisoners(self, theta: ModelParams, ids: Sequence[int], t: int) -> np.ndarray:
+        """The basic or dba updates of attackers `ids`, whose clean data share a size, one row each."""
+        cfg = self.cfg
+        return attacks.basic_attack(theta, [self.partitions[cid] for cid in ids],
+                                    [self.pools[cid] for cid in ids], cfg,
+                                    [derive_seed(cfg.seed, _CLIENT, t, cid) for cid in ids])
+
     def _attack(self, kind: str, theta: ModelParams, cid: int, t: int) -> np.ndarray:
+        """One alternate-family attacker's update, anchored on its own honest update."""
         cfg, clean, pool = self.cfg, self.partitions[cid], self.pools[cid]
-        seed = derive_seed(cfg.seed, _CLIENT, t, cid)
-        if kind in ("basic", "dba"):  # dba differs only in its pool's trigger slice
-            return attacks.basic_attack(theta, clean, pool, cfg, seed)
-        # alternate-family attacks anchor on the attacker's own honest update
         benign = local_train(theta, clean, cfg.epochs, cfg.lr_client, cfg.batch_size,
                              derive_seed(cfg.seed, _BENIGN, t, cid))
+        seed = derive_seed(cfg.seed, _CLIENT, t, cid)
         if kind == "alternate":
             return attacks.alternate_attack(theta, clean, pool, benign, cfg, seed)
         return attacks.adaptive_attack(theta, clean, pool, benign, cfg, seed)
+
+
+@contextlib.contextmanager
+def _naming(t: int, cid: int) -> Iterator[None]:
+    """Prefix a shape or training failure inside the block with the round and the client."""
+    try:
+        yield
+    except (ShapeError, TrainingError) as exc:
+        raise type(exc)(f"round {t}, client {cid}: {exc}") from exc
 
 
 class ClusterVote:

@@ -190,14 +190,23 @@ def finite_update(delta: np.ndarray) -> np.ndarray:
 
 
 def epoch_batches(n: int, batch_size: int,
-                  rng: np.random.Generator | None) -> List[slice | np.ndarray]:
-    """One epoch's batches, each indexing the first axis of n records: the data as given,
-    `slice(None)`, leaving `rng` untouched, when they fit one batch; else the slices of
-    a fresh `rng.permutation(n)`."""
+                  rng: np.random.Generator | Sequence[np.random.Generator] | None
+                  ) -> List[slice | np.ndarray | Tuple[np.ndarray, np.ndarray]]:
+    """One epoch's batches of n records: the data as given, `slice(None)`, leaving `rng`
+    untouched, when they fit one batch; else consecutive slices of a fresh permutation.
+
+    With one generator a batch indexes the first axis of one model's data. With a sequence
+    of K, one per model of a stack, each draws its own `permutation(n)`, and a batch is the
+    (models, records) pair that gathers model k's records from row k of the stack.
+    """
     if n <= batch_size:
         return [slice(None)]
-    order = rng.permutation(n)
-    return [order[start:start + batch_size] for start in range(0, n, batch_size)]
+    if isinstance(rng, np.random.Generator):
+        order = rng.permutation(n)
+        return [order[start:start + batch_size] for start in range(0, n, batch_size)]
+    order = np.stack([g.permutation(n) for g in rng])
+    models = np.arange(len(order))[:, None]
+    return [(models, order[:, start:start + batch_size]) for start in range(0, n, batch_size)]
 
 
 def sgd_step(params: ModelParams, theta: ModelParams, delta: np.ndarray, grad: np.ndarray,
@@ -216,19 +225,25 @@ def sgd_step(params: ModelParams, theta: ModelParams, delta: np.ndarray, grad: n
 
 
 def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
-              batch_size: int, rng: np.random.Generator | None) -> np.ndarray:
+              batch_size: int,
+              rng: np.random.Generator | Sequence[np.random.Generator] | None) -> np.ndarray:
     """Plain minibatch SGD (no momentum) from `params`; returns delta = theta_after - theta_before.
 
-    x is one model's (n, width) data with (n,) labels, or a (K, n, width) stack
-    with (K, n) labels; `params` is tiled to x's leading shape, and row k of a
-    stack's (K, d) delta is byte for byte the update of its k-th dataset alone.
-    Each epoch's batches come from `epoch_batches`. A stack shares its batches,
-    so its data must fit in one batch, and `rng`, never drawn from, may be None.
+    x is one model's (n, width) data with (n,) labels and `rng` one generator, or a
+    (K, n, width) stack with (K, n) labels and one generator per model; `params` is tiled
+    to x's leading shape, and row k of a stack's (K, d) delta is byte for byte the update
+    of its k-th dataset alone with the k-th generator. Each epoch's batches come from
+    `epoch_batches`. Data that fit in one batch draw nothing, so `rng` may then be None.
     The finiteness check is left to the caller, which knows whom to name.
     """
     lead, n = x.shape[:-2], x.shape[-2]
-    if lead and n > batch_size:
-        raise ShapeError(f"a stack trains only data that fit in one batch, not {n} records")
+    if n < 1:
+        raise TrainingError("cannot train on an empty dataset")
+    if lead and (rng is not None or n > batch_size):
+        count = 0 if rng is None else len(rng)
+        if lead != (count,):
+            raise ShapeError(f"a stack of shape {lead} trains with one generator per model, "
+                             f"not {count}")
     theta = ModelParams(np.tile(params.flat, lead + (1,)), params.shapes)
     delta = np.zeros(theta.flat.shape)
     for _ in range(epochs):
@@ -248,11 +263,8 @@ def local_train(
 ) -> np.ndarray:
     """`sgd_train` of one dataset, with one generator seeded by `seed`; returns the finite delta.
 
-    epochs, lr and batch_size are taken as SimConfig checked them; only the
-    data is checked here.
+    epochs, lr and batch_size are taken as SimConfig checked them.
     """
-    if data.size < 1:
-        raise TrainingError("cannot train on an empty dataset")
     return finite_update(sgd_train(params, data.samples, data.labels, epochs, lr, batch_size,
                                    np.random.default_rng(seed)))
 

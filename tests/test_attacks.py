@@ -81,12 +81,18 @@ def neutral_case(setup, per_class, epochs, batch_size):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**NEUTRAL_RUNS)
-def test_basic_degenerates_to_honest(setup, seed, per_class, epochs, batch_size):
-    clean, pool, model, cfg = neutral_case(setup, per_class, epochs, batch_size)
-    honest = local_train(model, clean, epochs, cfg.lr_client, batch_size, seed)
-    attack = basic_attack(model, clean, pool, cfg, seed)
-    assert attack.tobytes() == honest.tobytes()
+@given(**NEUTRAL_RUNS, k=st.integers(1, 4))
+def test_basic_degenerates_to_honest(setup, seed, per_class, epochs, batch_size, k):
+    # k neutral attackers of one clean size train as one stack, each row its honest update
+    _, pool, model, cfg = neutral_case(setup, per_class, epochs, batch_size)
+    means = class_means(M, R_IN, seed=4)
+    cleans = [gen_dataset(M, R_IN, per_class, seed=per_class + j, means=means) for j in range(k)]
+    seeds = [(seed + j) % 2**32 for j in range(k)]
+    attack = basic_attack(model, cleans, [pool] * k, cfg, seeds)
+    assert attack.shape == (k, model.dim)
+    for row, clean, s in zip(attack, cleans, seeds):
+        assert row.tobytes() == local_train(model, clean, epochs, cfg.lr_client, batch_size,
+                                            s).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,16 +158,17 @@ def test_dba_part_one_equals_basic(setup):
     clean, base, pool, model = setup
     part_pool = make_poison_pool(base, TRIG.part(1, 0))
     cfg = knobs(poison_count=20, epochs=2)
-    via_dba = basic_attack(model, clean, part_pool, cfg, seed=5)
-    via_basic = basic_attack(model, clean, pool, cfg, seed=5)
+    via_dba = basic_attack(model, [clean], [part_pool], cfg, [5])
+    via_basic = basic_attack(model, [clean], [pool], cfg, [5])
     assert np.array_equal(via_dba, via_basic)
 
 
 def test_dba_parts_use_sub_patterns(setup):
+    # two attackers with one clean set and one seed, stacked: only their trigger slices differ
     clean, base, _, model = setup
     cfg = knobs(poison_count=10, epochs=1, batch_size=64)
-    a, b = (basic_attack(model, clean, make_poison_pool(base, TRIG.part(2, k)), cfg, seed=5)
-            for k in range(2))
+    pools = [make_poison_pool(base, TRIG.part(2, k)) for k in range(2)]
+    a, b = basic_attack(model, [clean, clean], pools, cfg, [5, 5])
     assert np.any(a != b)
 
 

@@ -2,10 +2,11 @@
 
 Every aggregator x attack pair runs at the desk-scale defaults for four
 rounds, plus clustervote against the adaptive attack under each threshold
-mode, gradient-only voting and the paper's sign rule. Two many-client cases
-pin clients whose data fit in one batch, which train as one stacked model:
-500 clients of 20 records (one stack per round), and 300 clients of 33 and
-34 records under sybil (two stacks per round beside the leader's own
+mode, gradient-only voting and the paper's sign rule. Three many-client cases
+pin clients that train as one stacked model: 500 clients of 20 records (one
+honest stack per round, and one stack of basic or, with its two trigger
+slices, dba attackers, each of three batches), and 300 clients of 33 and 34
+records under sybil (two stacks per round beside the leader's own
 training). The rounds CSV holds
 only accuracy and ASR for a baseline aggregator, so two attacks that move no
 argmax give the same CSV; the final-parameter digest tells them apart. The
@@ -39,6 +40,8 @@ CASES.update({
                            "aggregator": "fedavg", "attack": "basic", "rounds": 3},
     "scale-clustervote-sybil": {"n_clients": 300, "shards": 300, "num_malicious": 30,
                                 "aggregator": "clustervote", "attack": "sybil", "rounds": 3},
+    "scale-fedavg-dba": {"n_clients": 500, "shards": 500, "num_malicious": 50,
+                         "aggregator": "fedavg", "attack": "dba", "rounds": 3},
 })
 
 DIGESTS = {
@@ -84,6 +87,7 @@ DIGESTS = {
     "clustervote-adaptive-strict_paper_sign=true": "4a9e5c698705029d405bc7ed06bf762efec12c86ba728beb50d8b3fda9fcf5a1",
     "scale-fedavg-basic": "3bfb9d29d84532aaf83f7e05ed43f52d0f709472fdcdeb2f514e0eb3ffacf9ba",
     "scale-clustervote-sybil": "05318e22e6268aa33adffad2492d8aabbea4d40e1490905feda9ff0f6908edc4",
+    "scale-fedavg-dba": "ed2c395ea06752852c3337ac9935981de852ca748c4a354246ef5a1597ab9d17",
 }
 
 # sha256 of result.final_params.flat.tobytes(). The five attacked krum cases
@@ -131,6 +135,7 @@ PARAMS_DIGESTS = {
     "clustervote-adaptive-strict_paper_sign=true": "59a9269c803ccfbb896a8075f88cae4adba655d082c1e120ab0e205af35d01b6",
     "scale-fedavg-basic": "1970142c2baa3dcce7467095f4f8729d39d21b558b2661236a1007135ac84b22",
     "scale-clustervote-sybil": "4c7e9504cd927a16c68e05d25664e92e0fe01c949dff03049be7016ff32b7971",
+    "scale-fedavg-dba": "1f59913ccefe22552d0189bdd95f3e68b3b78d4fabc5ff11078596d1c61231f9",
 }
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fedsim.cli import main
 from fedsim.config import SimConfig
-from fedsim.data import LabeledDataset, TriggerPattern, class_means, gen_dataset
+from fedsim.data import LabeledDataset, TriggerPattern, class_means, concat_datasets, gen_dataset
 from fedsim.errors import ConfigError, ShapeError, TrainingError
 from fedsim.harness import (
     CSV_HEADER,
@@ -241,6 +241,56 @@ def test_non_finite_stack_row_names_its_own_client(monkeypatch):
         clients.updates(theta, [1, 4, 6, 7], 3)
 
 
+def attack_clients(sizes, attack, num_malicious, **kw):
+    """_Clients of one run whose first num_malicious clients attack, with partitions of the given sizes."""
+    from fedsim import harness
+    cfg = tiny_cfg(attack=attack, num_malicious=num_malicious, n_clients=len(sizes),
+                   shards=len(sizes), **kw)
+    rng = np.random.default_rng(5)
+    parts = [LabeledDataset(rng.standard_normal((n, cfg.input_dim)),
+                            rng.integers(0, cfg.num_classes, n), cfg.num_classes) for n in sizes]
+    trigger = TriggerPattern(cfg.trigger_indices, cfg.trigger_values, cfg.trigger_target)
+    theta = init_model(cfg.layer_dims, seed=1, zero_last=True)
+    return harness._Clients(cfg, parts, trigger), theta
+
+
+@pytest.mark.parametrize("attack", ["basic", "dba"])
+def test_poisoners_train_as_one_stack_per_clean_size(monkeypatch, attack):
+    from fedsim import attacks
+    # attackers 0, 2 and 4 hold 30 records, 1 and 3 hold 12; each trains beyond one batch
+    clients, theta = attack_clients([30, 12, 30, 12, 30, 10, 10, 40], attack, 5, batch_size=16)
+    calls = []
+    orig = attacks.basic_attack
+    def spy(params, cleans, pools, cfg, seeds):
+        calls.append([clean.size for clean in cleans])
+        return orig(params, cleans, pools, cfg, seeds)
+    monkeypatch.setattr(attacks, "basic_attack", spy)
+    for t in range(2):
+        clients.updates(theta, list(range(8)), t)
+    assert calls == [[30, 30, 30], [12, 12]] * 2
+
+
+def test_non_finite_poisoner_row_names_its_own_client(monkeypatch):
+    from fedsim import attacks
+    clients, theta = attack_clients([30, 12, 30, 12, 30, 10, 10, 40], "basic", 5, batch_size=16)
+    orig = attacks.basic_attack
+    def second_row_diverges(*args):
+        rows = orig(*args)
+        rows[1, 5] = np.inf
+        return rows
+    monkeypatch.setattr(attacks, "basic_attack", second_row_diverges)
+    # the stack of 30-record attackers holds clients 0, 2 and 4, in that order
+    with pytest.raises(TrainingError, match=r"^round 3, client 2: non-finite update$"):
+        clients.updates(theta, list(range(8)), 3)
+
+
+def test_poisoner_without_training_records_keeps_its_own_error():
+    # attacker 1 has no clean data and poisons no records
+    clients, theta = attack_clients([30, 0, 20, 20], "basic", 2, poison_count=0)
+    with pytest.raises(TrainingError, match=r"^round 1, client 1: cannot train on an empty dataset$"):
+        clients.updates(theta, [0, 1, 2, 3], 1)
+
+
 def test_empty_partition_keeps_its_own_error():
     clients, theta = stack_clients([20, 0, 20])
     with pytest.raises(TrainingError, match=r"^round 1, client 1: cannot train on an empty dataset$"):
@@ -275,7 +325,10 @@ def test_update_matrix_rows_are_each_clients_own_update(attack, t, seed):
             return local_train(theta, parts[cid], cfg.epochs, cfg.lr_client, cfg.batch_size,
                                train_seed)
         if attack in ("basic", "dba"):
-            return attacks.basic_attack(theta, parts[cid], clients.pools[cid], cfg, train_seed)
+            # honest SGD on the clean data plus the first poison_count pool records
+            mixed = concat_datasets([parts[cid],
+                                     clients.pools[cid].subset(np.arange(cfg.poison_count))])
+            return local_train(theta, mixed, cfg.epochs, cfg.lr_client, cfg.batch_size, train_seed)
         if attack == "sybil":
             return own_alternate(0)  # every colluder submits the first one's update
         return own_alternate(cid)

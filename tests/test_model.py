@@ -345,14 +345,59 @@ def test_sgd_train_stack_rows_equal_local_train_alone(k, n, hidden, seed, extra,
         assert row.tobytes() == delta.tobytes()
 
 
-def test_sgd_train_refuses_a_stack_beyond_one_batch():
-    # a stack shares its batches, so only data that fit in one batch may stack
+def test_sgd_train_stack_takes_one_generator_per_model():
+    # each model of a stack beyond one batch draws its own permutation, so it needs K generators
     rng = np.random.default_rng(13)
     model = init_model([8, 6, 4], seed=3)
     x, y = rng.standard_normal((2, 10, 8)), rng.integers(0, 4, (2, 10))
-    with pytest.raises(ShapeError, match="one batch"):
-        sgd_train(model, x, y, 1, 0.1, 9, np.random.default_rng(0))
+
+    def generators(k):
+        return [np.random.default_rng(s) for s in range(k)]
+
+    assert sgd_train(model, x, y, 1, 0.1, 9, generators(2)).shape == (2, model.dim)
+    for rngs in (None, generators(1), generators(3)):
+        with pytest.raises(ShapeError, match="one generator per model"):
+            sgd_train(model, x, y, 1, 0.1, 9, rngs)
+    # a one-batch stack draws nothing, so it takes None, and K generators stay untouched
     assert sgd_train(model, x, y, 1, 0.1, 10, None).shape == (2, model.dim)
+    rngs = generators(2)
+    states = [g.bit_generator.state for g in rngs]
+    assert sgd_train(model, x, y, 1, 0.1, 10, rngs).shape == (2, model.dim)
+    assert [g.bit_generator.state for g in rngs] == states
+    with pytest.raises(ShapeError, match="one generator per model"):
+        sgd_train(model, x, y, 1, 0.1, 10, generators(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**STACKS, batch_size=st.integers(1, 6), epochs=st.integers(1, 4))
+def test_sgd_train_multi_batch_stack_rows_equal_each_model_alone(k, n, hidden, seed, batch_size,
+                                                                 epochs):
+    model, datasets = stack_case(k, n, hidden, seed)
+    lr = 0.3
+    seeds = [seed + i for i in range(k)]
+    x = np.stack([d.samples for d in datasets])
+    y = np.stack([d.labels for d in datasets])
+    rngs = [np.random.default_rng(s) for s in seeds]
+    rows = sgd_train(model, x, y, epochs, lr, batch_size, rngs)
+    assert rows.shape == (k, model.dim)
+    for row, data, s, rng in zip(rows, datasets, seeds, rngs):
+        alone_rng = np.random.default_rng(s)
+        alone = sgd_train(model, data.samples, data.labels, epochs, lr, batch_size, alone_rng)
+        assert row.tobytes() == alone.tobytes()
+        # one permutation per model per epoch: each generator ends where the lone run's does
+        assert rng.bit_generator.state == alone_rng.bit_generator.state
+        # and that is minibatch SGD written out with one-model calls
+        loop_rng = np.random.default_rng(s)
+        theta, delta = model.copy(), np.zeros(model.dim)
+        for _ in range(epochs):
+            order = np.arange(n) if n <= batch_size else loop_rng.permutation(n)
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                _, grad = loss_and_grad(theta, data.samples[idx], data.labels[idx])
+                delta = delta - lr * grad
+                theta = ModelParams(model.flat + delta, model.shapes)
+        assert row.tobytes() == delta.tobytes()
+        assert loop_rng.bit_generator.state == rng.bit_generator.state
 
 
 @settings(max_examples=40, deadline=None)
