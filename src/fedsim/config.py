@@ -129,6 +129,8 @@ class SimConfig:
                 raise ConfigError(f"unknown voting metric {metric!r}")
         if not self.voting_metrics:
             raise ConfigError("need at least one voting metric")
+        if len(set(self.voting_metrics)) != len(self.voting_metrics):
+            raise ConfigError("voting_metrics must be distinct")
         if self.aggregator not in AGGREGATORS:
             raise ConfigError(f"unknown aggregator {self.aggregator!r}")
         if self.attack not in ATTACKS:
@@ -245,7 +247,8 @@ def load_config(path: Path | str | None, overrides: dict[str, str] | None = None
     first: dict[str, int] = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            # a leading byte-order mark is cut after decoding, so byte offsets stay the file's
+            text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
         except OSError as exc:
             raise ConfigError(f"{path}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:

@@ -245,83 +245,67 @@ class _Clients:
     def updates(self, theta: ModelParams, selected: Sequence[int], t: int) -> np.ndarray:
         """The round's update matrix: row i is client selected[i]'s update, shape (n, d).
 
-        The stacks train first, one per kind and data size: honest clients whose data
-        fit in one batch as one `sgd_train` stack, and basic or dba attackers, by the
-        size of their clean data, as one `attacks.basic_attack` stack. Each row is byte
-        for byte that client trained alone. Sybil colluders all submit copies of one
-        update, trained when the first of them comes up. Every row is checked to be
-        finite, and a failure names the client whose row it is; a stack that fails
-        names its first client.
+        The selected clients train in groups, one `_train` call each; every row is byte
+        for byte its client's update trained alone. A group's failure names its first
+        client, and every row is then checked to be finite, a failure naming its client.
         """
-        cfg = self.cfg
+        groups: Dict[Tuple[str, int], List[int]] = {}
+        for i, cid in enumerate(selected):
+            groups.setdefault(self._group(cid), []).append(i)
         trained = []
-        for poisoned, rows in self._stacks(selected):
+        for (kind, _), rows in groups.items():
             ids = [selected[i] for i in rows]
             with _naming(t, ids[0]):
-                block = self._poisoners(theta, ids, t) if poisoned else self._honest(theta, ids)
-            trained.append((rows, block))
-        # allocated once the stacks' training buffers are freed, so they never coexist
+                trained.append((rows, self._train(kind, theta, ids, t)))
+        # allocated once every group's training buffers are freed, so they never coexist
         U = np.empty((len(selected), theta.dim))
-        filled = np.zeros(len(selected), dtype=bool)
         for rows, block in trained:
             U[rows] = block
-            filled[rows] = True
         for i, cid in enumerate(selected):
             with _naming(t, cid):
-                if filled[i]:
-                    pass  # stacked, or a sybil copy made with its leader's update
-                elif cid not in self.pools:
-                    U[i] = local_train(theta, self.partitions[cid], cfg.epochs, cfg.lr_client,
-                                       cfg.batch_size, derive_seed(cfg.seed, _CLIENT, t, cid))
-                elif cfg.attack == "sybil":
-                    leader = self._attack("alternate", theta, cid, t)
-                    rows = [j for j, c in enumerate(selected) if c in self.pools]
-                    U[rows] = attacks.sybil_updates(leader, rows)
-                    filled[rows] = True
-                else:
-                    U[i] = self._attack(cfg.attack, theta, cid, t)
                 finite_update(U[i])
         return U
 
-    def _stacks(self, selected: Sequence[int]) -> List[Tuple[bool, List[int]]]:
-        """(poisoned, rows of `selected`) of each stack, in the order of its first row.
+    def _group(self, cid: int) -> Tuple[str, int]:
+        """(kind, key) of client cid; the clients that share both train in one call.
 
-        Honest clients whose data fit in one batch stack by data size, and so do basic
+        Honest clients whose data fit in one batch group by data size, and so do basic
         and dba attackers (dba differs only in its pools' trigger slices) by the size of
-        their clean data. Nobody else stacks.
+        their clean data. All sybil colluders form one group. Everyone else trains alone.
         """
-        cfg = self.cfg
-        stacks: Dict[Tuple[bool, int], List[int]] = {}
-        for i, cid in enumerate(selected):
-            poisoned, size = cid in self.pools, self.partitions[cid].size
-            if cfg.attack in ("basic", "dba") if poisoned else 1 <= size <= cfg.batch_size:
-                stacks.setdefault((poisoned, size), []).append(i)
-        return [(poisoned, rows) for (poisoned, _), rows in stacks.items()]
+        cfg, size = self.cfg, self.partitions[cid].size
+        if cid not in self.pools:
+            return ("honest", size) if 1 <= size <= cfg.batch_size else ("local", cid)
+        if cfg.attack in ("basic", "dba"):
+            return "basic", size
+        return cfg.attack, (0 if cfg.attack == "sybil" else cid)
 
-    def _honest(self, theta: ModelParams, ids: Sequence[int]) -> np.ndarray:
-        """The updates of honest clients `ids`, whose data share a size and fit one batch."""
+    def _train(self, kind: str, theta: ModelParams, ids: Sequence[int], t: int) -> np.ndarray:
+        """The updates of one group: one row per client of `ids`, or the (d,) update of a
+        client that trains alone. A group that draws nothing derives no seed."""
         cfg = self.cfg
-        # the stacked data are built inside the call, so they are freed once it returns
-        return sgd_train(theta, np.stack([self.partitions[cid].samples for cid in ids]),
-                         np.stack([self.partitions[cid].labels for cid in ids]),
-                         cfg.epochs, cfg.lr_client, cfg.batch_size, None)
-
-    def _poisoners(self, theta: ModelParams, ids: Sequence[int], t: int) -> np.ndarray:
-        """The basic or dba updates of attackers `ids`, whose clean data share a size, one row each."""
-        cfg = self.cfg
-        return attacks.basic_attack(theta, [self.partitions[cid] for cid in ids],
-                                    [self.pools[cid] for cid in ids], cfg,
-                                    [derive_seed(cfg.seed, _CLIENT, t, cid) for cid in ids])
-
-    def _attack(self, kind: str, theta: ModelParams, cid: int, t: int) -> np.ndarray:
-        """One alternate-family attacker's update, anchored on its own honest update."""
-        cfg, clean, pool = self.cfg, self.partitions[cid], self.pools[cid]
+        cleans = [self.partitions[cid] for cid in ids]
+        if kind == "honest":
+            # the stacked data are built inside the call, so they are freed once it returns
+            return sgd_train(theta, np.stack([clean.samples for clean in cleans]),
+                             np.stack([clean.labels for clean in cleans]),
+                             cfg.epochs, cfg.lr_client, cfg.batch_size, None)
+        if kind == "basic":
+            return attacks.basic_attack(theta, cleans, [self.pools[cid] for cid in ids], cfg,
+                                        [derive_seed(cfg.seed, _CLIENT, t, cid) for cid in ids])
+        # one client trains: an honest one alone, or an alternate-family attacker (for
+        # sybil, the first selected colluder) anchored on its own honest update
+        cid, clean = ids[0], cleans[0]
+        seed = derive_seed(cfg.seed, _CLIENT, t, cid)
+        if kind == "local":
+            return local_train(theta, clean, cfg.epochs, cfg.lr_client, cfg.batch_size, seed)
         benign = local_train(theta, clean, cfg.epochs, cfg.lr_client, cfg.batch_size,
                              derive_seed(cfg.seed, _BENIGN, t, cid))
-        seed = derive_seed(cfg.seed, _CLIENT, t, cid)
-        if kind == "alternate":
-            return attacks.alternate_attack(theta, clean, pool, benign, cfg, seed)
-        return attacks.adaptive_attack(theta, clean, pool, benign, cfg, seed)
+        if kind == "adaptive":
+            return attacks.adaptive_attack(theta, clean, self.pools[cid], benign, cfg, seed)
+        update = attacks.alternate_attack(theta, clean, self.pools[cid], benign, cfg, seed)
+        # every selected colluder submits a copy of the leader's update
+        return attacks.sybil_updates(update, ids) if kind == "sybil" else update
 
 
 @contextlib.contextmanager

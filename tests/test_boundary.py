@@ -6,7 +6,8 @@ exception is the attackers' pool size, which depends on the partition and
 so can only be checked once the data exists.
 
 The same AST walk holds plain SGD to one trainer: only `model.sgd_train` and
-the alternate family's own epochs cut batches and take steps. It also keeps
+the alternate family's own epochs cut batches and take steps, and only
+`_Clients._train` dispatches to an attack. It also keeps
 aggregation on plain arrays: only the model, the attacks and the round loop
 name `ModelParams`, so trust, the baselines, clustering and inference take
 and return ndarrays.
@@ -118,6 +119,24 @@ def test_only_the_trainer_batches_steps_and_takes_gradients(name):
              for path in sorted(SRC.glob("*.py"))
              for where in callers(path.read_text(), name)}
     assert calls == TRAINER_CALLS[name]
+
+
+# the one attack dispatch: only _Clients._train calls an attack, and the
+# adaptive attack is the alternate one with a forged claim
+ATTACK_CALLS = {
+    "basic_attack": {("harness.py", "_Clients._train")},
+    "alternate_attack": {("harness.py", "_Clients._train"), ("attacks.py", "adaptive_attack")},
+    "adaptive_attack": {("harness.py", "_Clients._train")},
+    "sybil_updates": {("harness.py", "_Clients._train")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATTACK_CALLS))
+def test_only_the_client_trainer_calls_an_attack(name):
+    calls = {(path.name, where)
+             for path in sorted(SRC.glob("*.py"))
+             for where in callers(path.read_text(), name)}
+    assert calls == ATTACK_CALLS[name]
 
 
 # the modules that hold a model as ModelParams; aggregation takes and returns arrays

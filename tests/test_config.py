@@ -94,6 +94,17 @@ def test_a_key_set_on_two_file_lines_names_both(tmp_path):
     assert load_config(path, _overrides(args)).rounds == 3
 
 
+def test_a_leading_byte_order_mark_is_not_part_of_the_first_key(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfrounds=5\nattack=basic\n")
+    cfg = load_config(path)
+    assert cfg.rounds == 5 and cfg.attack == "basic"
+    # an invalid byte after the mark is still not UTF-8, at its offset in the file
+    path.write_bytes(b"\xef\xbb\xbfattack=basic # caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"bom\.cfg: not UTF-8 text \(.* at byte 21\)$"):
+        load_config(path)
+
+
 def test_override_types():
     cfg = SimConfig()
     out = apply_overrides(cfg, {
@@ -253,6 +264,7 @@ NAN, INF = float("nan"), float("inf")
     (dict(out_dir=" runs"), "^out_dir must be one line"),
     (dict(seed=-1), "^seed must be >= 0"),
     (dict(shards=0), "^shards must be >= 1"),
+    (dict(voting_metrics=("gradient", "gradient")), "^voting_metrics must be distinct"),
 ])
 def test_config_errors_name_the_field(kw, message):
     # each of these used to pass SimConfig and fail late, name another

@@ -284,6 +284,33 @@ def test_non_finite_poisoner_row_names_its_own_client(monkeypatch):
         clients.updates(theta, list(range(8)), 3)
 
 
+def test_sybil_leader_trains_once_per_round_that_selects_a_colluder(monkeypatch):
+    from fedsim import attacks
+    # clients 0, 1 and 2 collude; the first of them selected leads
+    clients, theta = attack_clients([30, 30, 30, 20, 20, 20], "sybil", 3, batch_size=16)
+    leaders = []
+    orig = attacks.alternate_attack
+    def spy(params, clean, *args):
+        leaders.append(next(cid for cid, part in enumerate(clients.partitions) if part is clean))
+        return orig(params, clean, *args)
+    monkeypatch.setattr(attacks, "alternate_attack", spy)
+    for t, selected in enumerate([[1, 2, 4], [3, 4, 5], [0, 2, 3, 5], [2, 3]]):
+        U = clients.updates(theta, selected, t)
+        rows = [i for i, cid in enumerate(selected) if cid < 3]
+        assert all(U[i].tobytes() == U[rows[0]].tobytes() for i in rows)
+    assert leaders == [1, 0, 2]
+
+
+def test_failing_sybil_leader_names_the_first_selected_colluder(monkeypatch):
+    from fedsim import attacks
+    clients, theta = attack_clients([30, 30, 30, 20, 20, 20], "sybil", 3, batch_size=16)
+    def failing(*args):
+        raise TrainingError("boom")
+    monkeypatch.setattr(attacks, "alternate_attack", failing)
+    with pytest.raises(TrainingError, match=r"^round 4, client 1: boom$"):
+        clients.updates(theta, [1, 2, 4], 4)
+
+
 def test_poisoner_without_training_records_keeps_its_own_error():
     # attacker 1 has no clean data and poisons no records
     clients, theta = attack_clients([30, 0, 20, 20], "basic", 2, poison_count=0)
