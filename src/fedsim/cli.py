@@ -50,7 +50,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
     cfg = load_config(args.config, _overrides(args))
-    out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
+    out_dir = Path(args.out)
     summaries = []
     for summary in _runs(cfg, [(out_dir, {"seed": str(cfg.seed + rep)})
                                for rep in range(args.repeats)]):
@@ -68,8 +68,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.param == "seed":
         raise ConfigError("sweep seeds with --seeds, not --param seed")
-    if args.param == "out_dir":
-        raise ConfigError("--param out_dir changes nothing: every run writes under --out")
     cfg = load_config(args.config, _overrides(args))
     key = args.param
     values = [v for v in args.values.split(",") if v != ""]
@@ -82,7 +80,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for flag, items in (("--values", values), ("--seeds", seeds)):
         if len(set(items)) < len(items):  # a repeat would run again into the same files
             raise ConfigError(f"{flag} repeats a value: {','.join(map(str, items))}")
-    out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
+    out_dir = Path(args.out)
     runs = _runs(cfg, [(out_dir / f"{key}_{value}", {key: value, "seed": str(seed)})
                        for value in values for seed in seeds])
     rows = []
@@ -140,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", nargs="?", default=None,
                        help="flat key=value config file (defaults apply if omitted)")
     p_run.add_argument("--override", action="append", metavar="KEY=VALUE")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", default="runs", help="output directory (default: runs)")
     p_run.add_argument("--repeats", type=int, default=1,
                        help="run this many consecutive seeds and report the mean")
     p_run.set_defaults(func=cmd_run)
@@ -151,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--seeds", default=None, help="comma-separated seeds")
     p_sweep.add_argument("--override", action="append", metavar="KEY=VALUE")
-    p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--out", default="runs", help="output directory (default: runs)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="summarize run outputs")

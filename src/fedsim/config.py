@@ -7,17 +7,13 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Tuple, get_args, get_origin, get_type_hints
+from typing import Literal, Tuple, get_args, get_origin, get_type_hints
 
 from .data import QUIET_DIMS
 from .errors import ConfigError
 
-AGGREGATORS = ("fedavg", "krum", "median", "trim", "fltrust", "clustervote")
-ATTACKS = ("none", "basic", "alternate", "dba", "sybil", "adaptive")
-THRESHOLD_MODES = ("mean", "mean_plus_std", "absolute")
 
-
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Full description of one simulated federation run.
 
@@ -51,20 +47,20 @@ class SimConfig:
     batch_size: int = 64
 
     # aggregation
-    aggregator: str = "clustervote"
+    aggregator: Literal["fedavg", "krum", "median", "trim", "fltrust", "clustervote"] = "clustervote"
     agg_f: int = 2
     lr_server: float = 0.15
     strict_paper_sign: bool = False
 
     # defense
-    threshold_mode: str = "mean"
+    threshold_mode: Literal["mean", "mean_plus_std", "absolute"] = "mean"
     beta: float = 0.0
     indicator_obs_cap: int = 5
-    voting_metrics: Tuple[str, ...] = ("gradient", "representation")
+    voting_metrics: Tuple[Literal["gradient", "representation"], ...] = ("gradient", "representation")
     gamma: float = 0.1
 
     # attack
-    attack: str = "none"
+    attack: Literal["none", "basic", "alternate", "dba", "sybil", "adaptive"] = "none"
     poison_count: int = 125
     pool_size: int = 500
     boost: float = 2.0
@@ -75,9 +71,8 @@ class SimConfig:
     trigger_values: Tuple[float, ...] = (3.0, -3.0, 3.0, -3.0)
     trigger_target: int = 0
 
-    # evaluation and output
+    # evaluation
     base_count: int = 200
-    out_dir: str = "runs"
 
     def __post_init__(self):
         """Reject every bad value or combination before a run generates any data."""
@@ -86,7 +81,7 @@ class SimConfig:
             if not _holds(kind, value):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             if get_origin(kind) is tuple:  # a list too, so to_text can write it
-                setattr(self, f.name, tuple(value))
+                object.__setattr__(self, f.name, tuple(value))
             if isinstance(value, numbers.Real) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite")
         if not all(math.isfinite(v) for v in self.trigger_values):
@@ -124,17 +119,10 @@ class SimConfig:
             raise ConfigError("learning rates must be positive")
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError("gamma must lie strictly between 0 and 1")
-        for metric in self.voting_metrics:
-            if metric not in ("gradient", "representation"):
-                raise ConfigError(f"unknown voting metric {metric!r}")
         if not self.voting_metrics:
             raise ConfigError("need at least one voting metric")
         if len(set(self.voting_metrics)) != len(self.voting_metrics):
             raise ConfigError("voting_metrics must be distinct")
-        if self.aggregator not in AGGREGATORS:
-            raise ConfigError(f"unknown aggregator {self.aggregator!r}")
-        if self.attack not in ATTACKS:
-            raise ConfigError(f"unknown attack {self.attack!r}")
         if self.aggregator == "krum" and per_round < 2 * self.agg_f + 3:
             raise ConfigError(f"krum needs at least 2*agg_f+3 = {2 * self.agg_f + 3} "
                               f"clients per round, got {per_round}")
@@ -144,8 +132,6 @@ class SimConfig:
         if self.aux_classes < 1 and (self.aggregator == "fltrust" or (
                 self.aggregator == "clustervote" and "representation" in self.voting_metrics)):
             raise ConfigError("fltrust and representation voting need aux_classes >= 1")
-        if self.threshold_mode not in THRESHOLD_MODES:
-            raise ConfigError(f"unknown threshold_mode {self.threshold_mode!r}")
         if self.lambda_clean <= 0:
             raise ConfigError("lambda_clean must be > 0")
         if not (0 <= self.poison_count <= self.pool_size):
@@ -167,10 +153,6 @@ class SimConfig:
         if not 1 <= self.base_count <= test_size:
             raise ConfigError(f"base_count must lie in [1, num_classes * test_per_class] "
                               f"= [1, {test_size}]")
-        # what load_config would cut from the line: a comment, blanks, a line break
-        out_dir = self.out_dir
-        if "#" in out_dir or out_dir != out_dir.strip() or len(out_dir.splitlines()) > 1:
-            raise ConfigError("out_dir must be one line with no '#' and no surrounding whitespace")
 
     @property
     def layer_dims(self) -> Tuple[int, ...]:
@@ -202,16 +184,22 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 def _holds(kind: object, value: object) -> bool:
     """Whether `value` is of declared type `kind`: a bool is no number, an int is a float,
-    numpy scalars count as Python ones, and a tuple may be given as a list."""
+    numpy scalars count as Python ones, a choice is a str among its choices, and a tuple
+    may be given as a list."""
     if get_origin(kind) is tuple:
         return isinstance(value, (list, tuple)) and all(_holds(get_args(kind)[0], v) for v in value)
+    if get_origin(kind) is Literal:
+        return isinstance(value, str) and value in get_args(kind)
     if kind is bool or isinstance(value, bool):
         return kind is bool and isinstance(value, bool)
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
 
 
-def _read(kind: type, text: str) -> object:
-    return _BOOLS[text.strip().lower()] if kind is bool else kind(text)
+def _read(kind: object, text: str) -> object:
+    """The text as a value of `kind`; a choice stays text, which SimConfig then checks."""
+    if kind is bool:
+        return _BOOLS[text.strip().lower()]
+    return text if get_origin(kind) is Literal else kind(text)
 
 
 def _parse(key: str, text: str) -> object:

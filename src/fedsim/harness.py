@@ -184,6 +184,10 @@ def run_experiment(cfg: SimConfig) -> ExperimentResult:
 
     partitions = partition_noniid(train, cfg.n_clients, cfg.noniid_p, cfg.shards,
                                   derive_seed(cfg.seed, _PART))
+    empty = [cid for cid, part in enumerate(partitions) if part.size == 0]
+    if empty:
+        raise ConfigError(f"client {empty[0]} holds no records: per_class, num_classes, "
+                          "n_clients, noniid_p and shards leave its share of the data empty")
     ground_truth = ground_truth_abstract(partitions, cfg.tau)
     trigger = TriggerPattern(cfg.trigger_indices, cfg.trigger_values, cfg.trigger_target)
     clients = _Clients(cfg, partitions, trigger)
@@ -430,9 +434,9 @@ def _baseline_round(
     return step, RoundRecord(t, selected)
 
 
-def run_and_write(cfg: SimConfig, out_dir: Path | str | None = None) -> Dict[str, object]:
-    """Run one experiment and write rounds CSV, summary JSON, resolved config."""
-    out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
+def run_and_write(cfg: SimConfig, out_dir: Path | str) -> Dict[str, object]:
+    """Run one experiment and write rounds CSV, summary JSON, resolved config under out_dir."""
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = run_experiment(cfg)
     tag = f"{cfg.aggregator}_{cfg.attack}_seed{cfg.seed}"

@@ -1,9 +1,13 @@
 """SimConfig is the one value check: no module below it raises ConfigError.
 
 The layers under the config assume a valid SimConfig and check only array
-shapes (ShapeError) and training failures (TrainingError). The single
-exception is the attackers' pool size, which depends on the partition and
-so can only be checked once the data exists.
+shapes (ShapeError) and training failures (TrainingError). The two
+exceptions depend on the partition and so can only be checked once the data
+exists: a client that holds no records, and the attackers' pool size.
+
+Every choice string that the code compares with a choice field is one of
+that field's declared `Literal` choices, so a misspelt choice cannot name a
+branch that no config reaches.
 
 The same AST walk holds plain SGD to one trainer: only `model.sgd_train` and
 the alternate family's own epochs cut batches and take steps, and only
@@ -15,13 +19,16 @@ and return ndarrays.
 
 import ast
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
+
+from fedsim.config import SimConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fedsim"
 
 BOUNDARY = {"config.py", "cli.py"}
-SETUP_CHECKS = {("harness.py", "_build_attack_pools")}
+SETUP_CHECKS = {("harness.py", "run_experiment"), ("harness.py", "_build_attack_pools")}
 
 
 def config_error_raises(source: str) -> list:
@@ -176,3 +183,57 @@ def test_only_the_model_attacks_and_round_loop_name_model_params():
     holders = {path.name for path in sorted(SRC.glob("*.py"))
                if lines_naming(path.read_text(), "ModelParams")}
     assert holders == MODEL_HOLDERS
+
+
+# the config fields whose values are declared choices
+CHOICE_FIELDS = ("aggregator", "attack", "threshold_mode", "voting_metrics")
+
+
+def choice_strings(source: str) -> list:
+    """(field, string) of each string constant compared with a choice field by `==`, `!=`,
+    `in` or `not in`, on either side, alone or inside a tuple, list or set."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if not isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)):
+                continue
+            for side, other in ((left, right), (right, left)):
+                name = getattr(side, "id", None) or getattr(side, "attr", None)
+                if name not in CHOICE_FIELDS:
+                    continue
+                items = other.elts if isinstance(other, (ast.Tuple, ast.List, ast.Set)) else [other]
+                found += [(name, item.value) for item in items
+                          if isinstance(item, ast.Constant) and isinstance(item.value, str)]
+    return found
+
+
+def test_choice_strings_finds_every_comparison():
+    source = (
+        "def run(cfg, attack, kind):\n"
+        "    if cfg.aggregator == 'krum' or 'trim' != cfg.aggregator:\n"
+        "        pass\n"
+        "    if attack in ('basic', 'dba') and cfg.attack not in ['sybil']:\n"
+        "        pass\n"
+        "    x = 'gradient' in cfg.voting_metrics and kind == 'honest'\n"
+        "    y = cfg.threshold_mode < 'mean' or cfg.aggregator == cfg.attack\n"
+        "    return 0 < cfg.attack == 'none'\n"
+    )
+    assert sorted(choice_strings(source)) == [
+        ("aggregator", "krum"), ("aggregator", "trim"), ("attack", "basic"), ("attack", "dba"),
+        ("attack", "none"), ("attack", "sybil"), ("voting_metrics", "gradient")]
+
+
+def test_every_compared_choice_string_is_a_declared_choice():
+    types = get_type_hints(SimConfig)
+    choices = {}
+    for name in CHOICE_FIELDS:
+        kind = types[name]
+        choices[name] = get_args(get_args(kind)[0] if get_origin(kind) is tuple else kind)
+    compared = [(path.name, name, text)
+                for path in sorted(SRC.glob("*.py"))
+                for name, text in choice_strings(path.read_text())]
+    assert len(compared) >= 20  # the walk sees the round loop's and the config's branches
+    assert [c for c in compared if c[2] not in choices[c[1]]] == []

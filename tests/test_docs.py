@@ -1,12 +1,15 @@
-"""The shipped configs load and README's example commands parse."""
+"""The shipped configs load, README's example commands parse, and README's settings name
+config fields."""
 
+import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from fedsim.cli import build_parser
-from fedsim.config import load_config
+from fedsim.config import SimConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
@@ -30,3 +33,22 @@ def test_readme_commands_parse():
     for argv in commands:
         args = build_parser().parse_args(argv)  # parsed only: nothing runs
         assert getattr(args, "config", None) is None or (ROOT / args.config) in CONFIGS
+
+
+def readme_setting_names():
+    """The key of every `--override NAME=` in README, and of every backticked span outside
+    code blocks that is only `name=value` settings."""
+    text = (ROOT / "README.md").read_text()
+    names = re.findall(r"--override[ =](\w+)=", text)
+    for span in re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S)):
+        settings = span.split()
+        if all(re.fullmatch(r"\w+=\S*", s) for s in settings):
+            names += [s.split("=", 1)[0] for s in settings]
+    return names
+
+
+def test_readme_settings_name_config_fields():
+    names = readme_setting_names()
+    assert {"aggregator", "seed", "hidden_dims", "attack"} <= set(names)
+    # `key` is the placeholder of `--override key=value`
+    assert set(names) - {"key"} <= {f.name for f in fields(SimConfig)}

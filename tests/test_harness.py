@@ -510,11 +510,11 @@ def test_cli_zero_batch_size_is_one_config_error(tmp_path, capsys):
     (["sweep", "--param", "noniid_p", "--values", "0.1,7"], "noniid_p"),
     (["run", "--override", "hidden_dims=3;x"], "hidden_dims"),
     (["run", "--override", "rounds"], "--override"),          # no '='
-    (["run", "--override", "out_dir=runs#1"], "out_dir"),     # taken whole, no comment cut
-    # a repeat would run again into the same files; --out sets every run's directory
+    (["run", "--override", "out_dir=runs#1"], "out_dir"),     # --out alone sets the directory
+    # a repeat would run again into the same files
     (["sweep", "--param", "noniid_p", "--values", "0.5", "--seeds", "1,1"], "--seeds"),
     (["sweep", "--param", "noniid_p", "--values", "0.0,0.0"], "--values"),
-    (["sweep", "--param", "out_dir", "--values", "a,b"], "out_dir"),
+    (["sweep", "--param", "out_dir", "--values", "a,b"], "out_dir"),  # no config key
     # a config file that cannot be read names its path and why ({tmp} is the test's directory)
     (["run", "{tmp}/missing.cfg"], "missing.cfg: No such file"),
     (["sweep", "{tmp}/missing.cfg", "--param", "rounds", "--values", "1"],
@@ -571,6 +571,20 @@ def test_poison_count_beyond_attacker_data_fails_before_training(monkeypatch):
     # one attacker holds 100 records, fewer than the 150 it must poison with
     with pytest.raises(ConfigError, match="exceeds the attackers' pool of 100 records"):
         run_experiment(tiny_cfg(attack="basic", num_malicious=1, pool_size=500, poison_count=150))
+
+
+def test_cli_client_without_records_fails_before_training(tmp_path, capsys, monkeypatch):
+    # 40 records over 50 clients leave some clients none; that used to fail mid-round 0
+    from fedsim import harness
+    def no_training(*args, **kw):
+        raise AssertionError("trained a client")
+    monkeypatch.setattr(harness, "local_train", no_training)
+    monkeypatch.setattr(harness, "sgd_train", no_training)
+    assert main(["run", "--override", "per_class=4", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: client ")
+    assert "holds no records: per_class, num_classes, n_clients, noniid_p and shards " in err[0]
 
 
 def test_cli_run_failure_is_one_line(tmp_path, capsys, monkeypatch):
