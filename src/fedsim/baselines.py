@@ -29,14 +29,18 @@ def fedavg(updates) -> np.ndarray:
 def krum(updates, f: int) -> np.ndarray:
     """The single update with the smallest summed squared distance to its n-f-2 nearest peers.
 
-    Distances are built one row at a time (n*d temporary memory, not n*n*d),
+    Distances are built one row at a time in one (n-1, d) buffer (not n*n*d),
     bit-identical to the full broadcast.
     """
     mat = _stack(updates)
     n = mat.shape[0]
     sq = np.zeros((n, n))
+    buf = np.empty_like(mat[1:])
     for i in range(n - 1):
-        row = ((mat[i + 1:] - mat[i]) ** 2).sum(axis=1)
+        diff = buf[i:]  # one row per peer after i
+        np.subtract(mat[i + 1:], mat[i], out=diff)
+        np.square(diff, out=diff)
+        row = np.add.reduce(diff, axis=1)
         sq[i, i + 1:] = row
         sq[i + 1:, i] = row
     scores = np.empty(n)

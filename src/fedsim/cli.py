@@ -70,7 +70,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep seeds with --seeds, not --param seed")
     cfg = load_config(args.config, _overrides(args))
     key = args.param
-    values = [v for v in args.values.split(",") if v != ""]
+    # stripped like an --override value, so "1, 2" names the values 1 and 2
+    values = [v for v in (item.strip() for item in args.values.split(",")) if v]
     if not values:
         raise ConfigError(f"--values names no value: {args.values!r}")
     try:

@@ -251,7 +251,8 @@ class _Clients:
 
         The selected clients train in groups, one `_train` call each; every row is byte
         for byte its client's update trained alone. A group's failure names its first
-        client, and every row is then checked to be finite, a failure naming its client.
+        client; the rows are then checked to be finite in one pass, and a failure names the
+        client of the first row that is not.
         """
         groups: Dict[Tuple[str, int], List[int]] = {}
         for i, cid in enumerate(selected):
@@ -265,9 +266,11 @@ class _Clients:
         U = np.empty((len(selected), theta.dim))
         for rows, block in trained:
             U[rows] = block
-        for i, cid in enumerate(selected):
-            with _naming(t, cid):
-                finite_update(U[i])
+        finite = np.isfinite(U).all(axis=1)
+        if not finite.all():
+            first = int(np.argmin(finite))  # the first row that is not finite
+            with _naming(t, selected[first]):
+                finite_update(U[first])
         return U
 
     def _group(self, cid: int) -> Tuple[str, int]:

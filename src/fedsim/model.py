@@ -102,19 +102,29 @@ def init_model(layer_dims: Sequence[int], seed: int, zero_last: bool = False) ->
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax with max subtraction for overflow safety, in one fresh array."""
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def _forward(layers: Layers, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Logits plus the input of every layer: x, then each hidden ReLU output."""
+    """Logits plus the input of every layer: x, then each hidden ReLU output.
+
+    Each layer's product is the one array it allocates; the bias and the ReLU
+    are applied to it in place.
+    """
     acts = [x]
     for w, b in layers[:-1]:
-        acts.append(np.maximum(acts[-1] @ w.mT + b[..., None, :], 0.0))
+        h = np.matmul(acts[-1], w.mT)
+        h += b[..., None, :]
+        np.maximum(h, 0.0, out=h)
+        acts.append(h)
     w_last, b_last = layers[-1]
-    return acts[-1] @ w_last.mT + b_last[..., None, :], acts
+    logits = np.matmul(acts[-1], w_last.mT)
+    logits += b_last[..., None, :]
+    return logits, acts
 
 
 def forward(params: ModelParams, inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -153,32 +163,40 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tuple[fl
         raise ShapeError("inputs and labels disagree on batch size")
     if n < 1:
         raise ShapeError("batch must contain at least one sample")
-    if y.min() < 0 or y.max() >= params.num_classes:
+    if (np.minimum.reduce(y, axis=None) < 0
+            or np.maximum.reduce(y, axis=None) >= params.num_classes):
         raise ShapeError("labels out of range for the model's class count")
     if x.shape[-1] != params.shapes[0][1]:
         raise ShapeError("batch width does not match the model input width")
     layers = params.layers()
     logits, acts = _forward(layers, x)
 
-    probs = softmax(logits)
-    m = probs.shape[-1]
-    rows, labels = np.arange(y.size), y.reshape(-1)
-    # clip only inside the log; the gradient uses the exact probabilities
-    picked = probs.reshape(-1, m)[rows, labels].reshape(y.shape)
-    loss = -np.mean(np.log(np.maximum(picked, 1e-300)), axis=-1)
-    dz = probs  # edited in place: the loss has been read
-    dz.reshape(-1, m)[rows, labels] -= 1.0
-    dz /= n
+    dz = softmax(logits)
+    m = dz.shape[-1]
+    # each label's entry in the flat (C-ordered) probabilities
+    at_label = np.arange(0, y.size * m, m) + y.reshape(-1)
+    flat = dz.reshape(-1)
+    # clip only inside the log; the gradient uses the exact probabilities.
+    # add.reduce then / n is how np.mean takes the mean, so the loss keeps its bits
+    log_picked = flat[at_label].reshape(y.shape)
+    np.maximum(log_picked, 1e-300, out=log_picked)
+    np.log(log_picked, out=log_picked)
+    loss = -(np.add.reduce(log_picked, axis=-1) / n)
+    flat[at_label] -= 1.0  # dz is edited in place: the loss has been read
+    dz /= n  # not *= 1 / n, which rounds differently
 
     grad = np.empty(params.flat.shape)
     grads = _layer_views(grad, params.shapes)
     for li in range(len(layers) - 1, -1, -1):
         gw, gb = grads[li]
         np.matmul(dz.mT, acts[li], out=gw)
-        dz.sum(axis=-2, out=gb)
+        np.add.reduce(dz, axis=-2, out=gb)
         if li > 0:
-            # a ReLU output is positive exactly where its pre-activation is
-            dz = (dz @ layers[li][0]) * (acts[li] > 0.0)
+            # a ReLU output is positive exactly where its pre-activation is; once the
+            # mask is read, the layer's input is spent, and its buffer takes the next dz
+            positive = acts[li] > 0.0
+            dz = np.matmul(dz, layers[li][0], out=acts[li])
+            dz *= positive
     return (float(loss) if loss.ndim == 0 else loss), grad
 
 

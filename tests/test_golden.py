@@ -9,16 +9,24 @@ slices, dba attackers, each of three batches), and 300 clients of 33 and 34
 records under sybil (two stacks per round beside the leader's own
 training). The rounds CSV holds
 only accuracy and ASR for a baseline aggregator, so two attacks that move no
-argmax give the same CSV; the final-parameter digest tells them apart. The
-digests were taken with one and with two BLAS threads and did not differ. A
-digest may change only with a reason recorded in CHANGES.md.
+argmax give the same CSV; the final-parameter digest tells them apart. Two
+cases, one desk defense run and one 500-client stacked run, are checked at one
+and at two BLAS threads in fresh processes, since the kernels hand BLAS their
+own output buffers. A digest may change only with a reason recorded in
+CHANGES.md.
 """
 
 import functools
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedsim
 from fedsim.config import SimConfig
 from fedsim.harness import run_experiment, write_csv
 
@@ -160,3 +168,28 @@ def test_rounds_csv_digest(name, tmp_path):
 def test_final_params_digest(name):
     flat = _run(name).final_params.flat
     assert hashlib.sha256(flat.tobytes()).hexdigest() == PARAMS_DIGESTS[name]
+
+
+# prints the final-parameter digest of each config, given as JSON keyword lists
+_DIGEST_SCRIPT = """
+import hashlib, json, sys
+from fedsim.config import SimConfig
+from fedsim.harness import run_experiment
+for kw in json.loads(sys.argv[1]):
+    flat = run_experiment(SimConfig(**kw)).final_params.flat
+    print(hashlib.sha256(flat.tobytes()).hexdigest())
+"""
+
+
+def test_final_params_digest_at_one_and_two_blas_threads():
+    # the BLAS thread count is read once, when numpy loads, so each count needs its own process
+    names = ["clustervote-alternate", "scale-fedavg-dba"]
+    configs = json.dumps([{"rounds": 4, **CASES[name]} for name in names])
+    src = str(Path(fedsim.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src,
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                               threads)}
+        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, configs], env=env,
+                             capture_output=True, text=True, timeout=300, check=True).stdout
+        assert out.split() == [PARAMS_DIGESTS[name] for name in names], f"{threads} BLAS threads"

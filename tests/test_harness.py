@@ -241,6 +241,20 @@ def test_non_finite_stack_row_names_its_own_client(monkeypatch):
         clients.updates(theta, [1, 4, 6, 7], 3)
 
 
+def test_non_finite_rows_name_the_first_in_selected_order(monkeypatch):
+    # the size-20 stack trains first and holds client 5; client 4 comes first in selected
+    from fedsim import harness
+    clients, theta = stack_clients([20, 7, 20, 80, 7, 20], batch_size=64)
+    orig = harness.sgd_train
+    def last_row_diverges(*args):
+        rows = orig(*args)
+        rows[-1, 3] = np.inf
+        return rows
+    monkeypatch.setattr(harness, "sgd_train", last_row_diverges)
+    with pytest.raises(TrainingError, match=r"^round 2, client 4: non-finite update$"):
+        clients.updates(theta, [0, 1, 2, 4, 5], 2)
+
+
 def attack_clients(sizes, attack, num_malicious, **kw):
     """_Clients of one run whose first num_malicious clients attack, with partitions of the given sizes."""
     from fedsim import harness
@@ -491,6 +505,24 @@ def test_cli_sweep(tmp_path):
     assert [row["noniid_p"] for row in rows] == ["0.0", "0.8"]
 
 
+@pytest.mark.parametrize("param, values, names", [
+    ("rounds", "1, 2", ["1", "2"]),
+    ("aggregator", " fedavg , median", ["fedavg", "median"]),
+])
+def test_cli_sweep_strips_each_value(tmp_path, capsys, param, values, names):
+    # like an --override value, a sweep value is taken without its surrounding spaces
+    cfg_path = tmp_path / "t.cfg"
+    cfg_path.write_text("".join(f"{k}={v}\n" for k, v in {**TINY, "rounds": 1}.items()))
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", str(cfg_path), "--param", param, "--values", values,
+                 "--out", str(out_dir)]) == 0
+    rows = json.loads((out_dir / f"sweep_{param}.json").read_text())
+    assert [row[param] for row in rows] == names
+    assert sorted(p.name for p in out_dir.iterdir() if p.is_dir()) == [f"{param}_{v}" for v in names]
+    printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert printed == [f"{param}={v}" for v in names]
+
+
 def test_cli_bad_override_exit_code(tmp_path):
     assert main(["run", "--override", "bogus_key=1", "--out", str(tmp_path)]) == 2
 
@@ -521,6 +553,9 @@ def test_cli_zero_batch_size_is_one_config_error(tmp_path, capsys):
      "missing.cfg: No such file"),
     (["run", "{tmp}/configs"], "configs: Is a directory"),
     (["run", "{tmp}/latin1.cfg"], "latin1.cfg: not UTF-8 text"),
+    # sweep values are stripped before the empty-item and repeat checks
+    (["sweep", "--param", "noniid_p", "--values", " , "], "--values names no value"),
+    (["sweep", "--param", "noniid_p", "--values", "0.5, 0.5"], "--values"),
 ])
 def test_cli_bad_arguments_are_one_config_error(tmp_path, capsys, monkeypatch, argv, flag):
     # a seed sweep used to run the config's own seed under every label

@@ -11,6 +11,7 @@ from fedsim.data import LabeledDataset
 from fedsim.errors import ShapeError, TrainingError
 from fedsim.model import (
     ModelParams,
+    _layer_views,
     epoch_batches,
     forward,
     init_model,
@@ -414,3 +415,89 @@ def test_representation_of_a_stack_equals_one_call_per_model(k, n, hidden, seed)
     for i in range(k):
         alone = representation(ModelParams(theta.flat + U[i], theta.shapes), aux)
         assert reps[i].tobytes() == alone.tobytes()
+
+
+# The kernel written with plain numpy expressions and fresh arrays. The in-place
+# kernel must do the same floating-point operations in the same order, so its
+# results equal these byte for byte.
+def reference_softmax(logits):
+    """Row-wise softmax with max subtraction for overflow safety."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_forward(layers, x):
+    """Logits plus the input of every layer: x, then each hidden ReLU output."""
+    acts = [x]
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w.mT + b[..., None, :], 0.0))
+    w_last, b_last = layers[-1]
+    return acts[-1] @ w_last.mT + b_last[..., None, :], acts
+
+
+def reference_loss_and_grad(params, x, y):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    lead = params.flat.shape[:-1]
+    if x.ndim != len(lead) + 2 or y.ndim != len(lead) + 1:
+        raise ShapeError("inputs must be 2-D and labels 1-D for each model of the stack")
+    n = x.shape[-2]
+    if x.shape[:-1] != y.shape or y.shape[:-1] != lead:
+        raise ShapeError("inputs and labels disagree on batch size")
+    if n < 1:
+        raise ShapeError("batch must contain at least one sample")
+    if y.min() < 0 or y.max() >= params.num_classes:
+        raise ShapeError("labels out of range for the model's class count")
+    if x.shape[-1] != params.shapes[0][1]:
+        raise ShapeError("batch width does not match the model input width")
+    layers = params.layers()
+    logits, acts = reference_forward(layers, x)
+
+    probs = reference_softmax(logits)
+    m = probs.shape[-1]
+    rows, labels = np.arange(y.size), y.reshape(-1)
+    # clip only inside the log; the gradient uses the exact probabilities
+    picked = probs.reshape(-1, m)[rows, labels].reshape(y.shape)
+    loss = -np.mean(np.log(np.maximum(picked, 1e-300)), axis=-1)
+    dz = probs  # edited in place: the loss has been read
+    dz.reshape(-1, m)[rows, labels] -= 1.0
+    dz /= n
+
+    grad = np.empty(params.flat.shape)
+    grads = _layer_views(grad, params.shapes)
+    for li in range(len(layers) - 1, -1, -1):
+        gw, gb = grads[li]
+        np.matmul(dz.mT, acts[li], out=gw)
+        dz.sum(axis=-2, out=gb)
+        if li > 0:
+            # a ReLU output is positive exactly where its pre-activation is
+            dz = (dz @ layers[li][0]) * (acts[li] > 0.0)
+    return (float(loss) if loss.ndim == 0 else loss), grad
+
+
+@settings(max_examples=120, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (2,), (3,), (4,), (5,)]), n=st.integers(1, 9),
+       hidden=st.sampled_from([(), (6,), (6, 5)]), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.0, 0.5, 5.0, 500.0]), one_class=st.booleans())
+def test_kernel_is_byte_for_byte_the_reference(lead, n, hidden, seed, scale, one_class):
+    # one model (no leading axis) or a stack of K; a large scale saturates the
+    # softmax, so the 1e-300 clip inside the log is taken as well
+    rng = np.random.default_rng(seed)
+    model = init_model([8, *hidden, 4], seed=seed)
+    params = ModelParams(model.flat + scale * rng.standard_normal(lead + (model.dim,)),
+                         model.shapes)
+    x = rng.standard_normal(lead + (n, 8))
+    y = (np.full(lead + (n,), rng.integers(4)) if one_class
+         else rng.integers(0, 4, lead + (n,)))
+    loss, grad = loss_and_grad(params, x, y)
+    ref_loss, ref_grad = reference_loss_and_grad(params, x, y)
+    assert type(loss) is type(ref_loss)
+    assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    # forward takes one (n, width) batch for every model of the stack
+    logits, pen = forward(params, x.reshape(-1, 8))
+    ref_logits, ref_acts = reference_forward(params.layers(), x.reshape(-1, 8))
+    assert logits.tobytes() == ref_logits.tobytes()
+    assert pen.tobytes() == ref_acts[-1].tobytes()
+    assert softmax(logits).tobytes() == reference_softmax(logits).tobytes()
