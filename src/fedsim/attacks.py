@@ -16,10 +16,9 @@ import numpy as np
 
 from .config import SimConfig
 from .data import LabeledDataset, TriggerPattern, concat_datasets
-from .errors import TrainingError
 from .inference import class_indicator, recover_last_layer_gradient
-from .model import (ModelParams, Shapes, epoch_batches, finite_update, last_layer_weight_block,
-                    local_train, loss_and_grad, sgd_step, sgd_train)
+from .model import (ModelParams, Shapes, finite_update, last_layer_weight_block, local_train,
+                    sgd_train)
 
 # the attack surface; local_train stays while perfbench's tracer tests expect
 # to find it bound here, as in the package root
@@ -78,49 +77,21 @@ def alternate_attack(
 ) -> np.ndarray:
     """Alternate poison epochs with stealth epochs, then boost the update.
 
-    Even epochs run SGD on clean + poison (clean gradients scaled by
-    lambda_clean). Odd epochs run SGD on clean data with each step pulled
-    toward the benign anchor by min(2*lr*rho, 1) * (theta - anchor); the
-    clip keeps the pull stable for arbitrarily large rho, and as rho grows
-    the update converges to the anchor. The finished delta is scaled by the
-    boost coefficient.
+    Each epoch is one `sgd_train` call that resumes the last one's delta, all drawing from
+    one generator. Even epochs train on clean + poison. Odd epochs train on clean data with
+    each step pulled toward the benign anchor by min(2*lr*rho, 1) * (theta - anchor); the
+    clip keeps the pull stable for arbitrarily large rho, and as rho grows the update
+    converges to the anchor. The finished delta is scaled by the boost coefficient.
     """
-    if clean.size < 1:
-        raise TrainingError("attacker has no clean data")
     mixed = _training_set(clean, poison, cfg.poison_count)
     pull = min(2.0 * cfg.lr_client * cfg.stealth_rho, 1.0)
     rng = np.random.default_rng(seed)
-    theta = global_params.copy()
-    delta = np.zeros(global_params.dim)
+    delta = None
     for h in range(cfg.epochs):
-        stealth = h % 2 == 1
-        data = clean if stealth else mixed
-        weighted = not stealth and cfg.lambda_clean != 1.0
-        for idx in epoch_batches(data.size, cfg.batch_size, rng):
-            if weighted:
-                grad = _weighted_grad(theta, data, idx, clean.size, cfg.lambda_clean)
-            else:
-                _, grad = loss_and_grad(theta, data.samples[idx], data.labels[idx])
-            sgd_step(global_params, theta, delta, grad, cfg.lr_client, benign_delta,
-                     pull if stealth else 0.0)
+        data, epoch_pull = (clean, pull) if h % 2 else (mixed, 0.0)
+        delta = sgd_train(global_params, data.samples, data.labels, 1, cfg.lr_client,
+                          cfg.batch_size, rng, benign_delta, epoch_pull, delta)
     return finite_update(delta * cfg.boost)
-
-
-def _weighted_grad(theta: ModelParams, data: LabeledDataset, idx: slice | np.ndarray, n_clean: int,
-                   lam: float) -> np.ndarray:
-    """Batch gradient with clean samples (index < n_clean) weighted by lam."""
-    idx = np.arange(data.size)[idx]
-    clean_idx = idx[idx < n_clean]
-    pois_idx = idx[idx >= n_clean]
-    total = lam * clean_idx.size + pois_idx.size
-    grad = np.zeros(theta.dim)
-    if clean_idx.size:
-        _, g = loss_and_grad(theta, data.samples[clean_idx], data.labels[clean_idx])
-        grad += lam * clean_idx.size * g
-    if pois_idx.size:
-        _, g = loss_and_grad(theta, data.samples[pois_idx], data.labels[pois_idx])
-        grad += pois_idx.size * g
-    return grad / total
 
 
 def sybil_updates(leader: np.ndarray, colluders: Sequence[int]) -> np.ndarray:

@@ -65,7 +65,6 @@ class SimConfig:
     pool_size: int = 500
     boost: float = 2.0
     stealth_rho: float = 0.1
-    lambda_clean: float = 1.0
     dba_parts: int = 2
     trigger_indices: Tuple[int, ...] = (0, 1, 2, 3)
     trigger_values: Tuple[float, ...] = (3.0, -3.0, 3.0, -3.0)
@@ -90,7 +89,7 @@ class SimConfig:
             raise ConfigError("selection_ratio must lie in (0, 1]")
         per_round = round(self.selection_ratio * self.n_clients)
         if per_round < 2:
-            raise ConfigError("selection must cover at least two clients per round")
+            raise ConfigError("selection_ratio must select at least two clients per round")
         if not (0 <= self.num_malicious <= self.n_clients):
             raise ConfigError("num_malicious must lie in [0, n_clients]")
         for name in ("rounds", "epochs", "batch_size", "indicator_obs_cap", "boost", "dba_parts",
@@ -115,12 +114,13 @@ class SimConfig:
         if self.num_classes > self.input_dim - QUIET_DIMS:
             raise ConfigError(f"num_classes ({self.num_classes}) must be at most "
                               f"input_dim - {QUIET_DIMS} = {self.input_dim - QUIET_DIMS}")
-        if self.lr_client <= 0 or self.lr_server <= 0:
-            raise ConfigError("learning rates must be positive")
+        for name in ("lr_client", "lr_server"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0")
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError("gamma must lie strictly between 0 and 1")
         if not self.voting_metrics:
-            raise ConfigError("need at least one voting metric")
+            raise ConfigError("voting_metrics must name at least one metric")
         if len(set(self.voting_metrics)) != len(self.voting_metrics):
             raise ConfigError("voting_metrics must be distinct")
         if self.aggregator == "krum" and per_round < 2 * self.agg_f + 3:
@@ -132,8 +132,6 @@ class SimConfig:
         if self.aux_classes < 1 and (self.aggregator == "fltrust" or (
                 self.aggregator == "clustervote" and "representation" in self.voting_metrics)):
             raise ConfigError("fltrust and representation voting need aux_classes >= 1")
-        if self.lambda_clean <= 0:
-            raise ConfigError("lambda_clean must be > 0")
         if not (0 <= self.poison_count <= self.pool_size):
             raise ConfigError("poison_count must lie in [0, pool_size]")
         if any(not 0 <= i < self.input_dim for i in self.trigger_indices):
@@ -203,13 +201,15 @@ def _read(kind: object, text: str) -> object:
 
 
 def _parse(key: str, text: str) -> object:
-    """Field `key` read from its text by its declared type; a tuple is ;-separated."""
+    """Field `key` read from its text by its declared type; a tuple is ;-separated, an empty
+    text is the empty tuple, and an empty item fails like any other bad item."""
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
     kind = _FIELD_TYPES[key]
     try:
         if get_origin(kind) is tuple:
-            return tuple(_read(get_args(kind)[0], v.strip()) for v in text.split(";") if v.strip())
+            items = text.split(";") if text.strip() else []
+            return tuple(_read(get_args(kind)[0], v.strip()) for v in items)
         return _read(kind, text)
     except (KeyError, ValueError):
         raise ConfigError(f"cannot parse {key}={text!r}") from None

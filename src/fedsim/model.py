@@ -244,7 +244,9 @@ def sgd_step(params: ModelParams, theta: ModelParams, delta: np.ndarray, grad: n
 
 def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
               batch_size: int,
-              rng: np.random.Generator | Sequence[np.random.Generator] | None) -> np.ndarray:
+              rng: np.random.Generator | Sequence[np.random.Generator] | None,
+              anchor: np.ndarray | None = None, pull: float = 0.0,
+              delta: np.ndarray | None = None) -> np.ndarray:
     """Plain minibatch SGD (no momentum) from `params`; returns delta = theta_after - theta_before.
 
     x is one model's (n, width) data with (n,) labels and `rng` one generator, or a
@@ -252,7 +254,9 @@ def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray, epochs: int, lr
     to x's leading shape, and row k of a stack's (K, d) delta is byte for byte the update
     of its k-th dataset alone with the k-th generator. Each epoch's batches come from
     `epoch_batches`. Data that fit in one batch draw nothing, so `rng` may then be None.
-    The finiteness check is left to the caller, which knows whom to name.
+    Every step passes `anchor` and `pull` to `sgd_step`. A `delta` that an earlier call
+    returned resumes that training on a copy: theta starts at params + delta, as its last
+    step wrote it. The finiteness check is left to the caller, which knows whom to name.
     """
     lead, n = x.shape[:-2], x.shape[-2]
     if n < 1:
@@ -262,12 +266,17 @@ def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray, epochs: int, lr
         if lead != (count,):
             raise ShapeError(f"a stack of shape {lead} trains with one generator per model, "
                              f"not {count}")
-    theta = ModelParams(np.tile(params.flat, lead + (1,)), params.shapes)
-    delta = np.zeros(theta.flat.shape)
+    if delta is None:
+        theta = ModelParams(np.tile(params.flat, lead + (1,)), params.shapes)
+        delta = np.zeros(theta.flat.shape)
+    else:
+        theta = ModelParams(params.flat + delta, params.shapes)
+        delta = delta.copy()
     for _ in range(epochs):
         for idx in epoch_batches(n, batch_size, rng):
             # the gradient is left unbound, so it is freed before the next one exists
-            sgd_step(params, theta, delta, loss_and_grad(theta, x[idx], y[idx])[1], lr)
+            sgd_step(params, theta, delta, loss_and_grad(theta, x[idx], y[idx])[1], lr, anchor,
+                     pull)
     return delta
 
 

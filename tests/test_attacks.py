@@ -75,8 +75,7 @@ NEUTRAL_RUNS = dict(seed=st.integers(0, 2**32 - 1), per_class=st.integers(1, 6),
 def neutral_case(setup, per_class, epochs, batch_size):
     _, _, pool, model = setup
     clean = gen_dataset(M, R_IN, per_class, seed=per_class, means=class_means(M, R_IN, seed=4))
-    cfg = knobs(poison_count=0, boost=1.0, stealth_rho=0.0, lambda_clean=1.0,
-                epochs=epochs, batch_size=batch_size)
+    cfg = knobs(poison_count=0, boost=1.0, stealth_rho=0.0, epochs=epochs, batch_size=batch_size)
     return clean, pool, model, cfg
 
 
@@ -108,7 +107,7 @@ def test_alternate_degenerates_to_honest(setup, seed, per_class, epochs, batch_s
 def written_out_alternate(model, clean, pool, benign, cfg, seed):
     """The alternate attack as one self-contained loop: the reference for its bytes."""
     mixed = concat_datasets([clean, pool.subset(np.arange(cfg.poison_count))])
-    lr, lam, b = cfg.lr_client, cfg.lambda_clean, cfg.batch_size
+    lr, b = cfg.lr_client, cfg.batch_size
     pull = min(2.0 * lr * cfg.stealth_rho, 1.0)
     rng = np.random.default_rng(seed)
     theta, delta = model.copy(), np.zeros(model.dim)
@@ -117,16 +116,7 @@ def written_out_alternate(model, clean, pool, benign, cfg, seed):
         order = np.arange(data.size) if b >= data.size else rng.permutation(data.size)
         for start in range(0, data.size, b):
             idx = order[start:start + b]
-            if h % 2 == 0 and lam != 1.0:
-                c, p = idx[idx < clean.size], idx[idx >= clean.size]
-                grad = np.zeros(model.dim)
-                if c.size:
-                    grad += lam * c.size * loss_and_grad(theta, data.samples[c], data.labels[c])[1]
-                if p.size:
-                    grad += p.size * loss_and_grad(theta, data.samples[p], data.labels[p])[1]
-                grad = grad / (lam * c.size + p.size)
-            else:
-                grad = loss_and_grad(theta, data.samples[idx], data.labels[idx])[1]
+            grad = loss_and_grad(theta, data.samples[idx], data.labels[idx])[1]
             delta -= lr * grad
             if h % 2 and pull > 0.0:
                 delta -= pull * (delta - benign)
@@ -138,13 +128,12 @@ def written_out_alternate(model, clean, pool, benign, cfg, seed):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), per_class=st.integers(1, 6), epochs=st.integers(1, 4),
        batch_size=st.integers(1, 40), poison_count=st.integers(0, 20),
-       lambda_clean=st.sampled_from([0.5, 1.0, 2.0]),
        stealth_rho=st.just(0.0) | st.floats(0.0, 30.0), boost=st.floats(1.0, 5.0))
 def test_alternate_family_equals_the_written_out_loop(setup, seed, per_class, epochs, batch_size,
-                                                      poison_count, lambda_clean, stealth_rho, boost):
+                                                      poison_count, stealth_rho, boost):
     clean, pool, model, _ = neutral_case(setup, per_class, epochs, batch_size)
-    cfg = knobs(poison_count=poison_count, lambda_clean=lambda_clean, stealth_rho=stealth_rho,
-                boost=boost, epochs=epochs, batch_size=batch_size)
+    cfg = knobs(poison_count=poison_count, stealth_rho=stealth_rho, boost=boost, epochs=epochs,
+                batch_size=batch_size)
     benign = honest_update(model, clean, seed=77)
     expected = written_out_alternate(model, clean, pool, benign, cfg, seed)
     assert alternate_attack(model, clean, pool, benign, cfg, seed).tobytes() == expected.tobytes()
@@ -257,19 +246,6 @@ def test_diverging_attack_update_rejected(setup, attack):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match="^non-finite update$"):
             attack(model, clean, pool, benign, knobs(poison_count=30, lr_client=1e200), seed=1)
-
-
-def test_weighted_clean_gradient_path(setup):
-    # lambda_clean != 1 reweights clean samples; a pure-clean batch then
-    # scales the plain gradient exactly
-    clean, _, pool, model = setup
-    benign = honest_update(model, clean, seed=77)
-    cfg = knobs(poison_count=0, boost=1.0, stealth_rho=0.0, lambda_clean=2.0,
-                epochs=1, batch_size=clean.size)
-    d_lam = alternate_attack(model, clean, pool, benign, cfg, seed=10)
-    d_hon = local_train(model, clean, epochs=1, lr=0.05, batch_size=clean.size, seed=10)
-    # weights cancel in the weighted mean when all samples are clean
-    assert np.allclose(d_lam, d_hon, atol=1e-12)
 
 
 def test_poison_count_exceeding_pool_rejected(setup):

@@ -9,9 +9,9 @@ Every choice string that the code compares with a choice field is one of
 that field's declared `Literal` choices, so a misspelt choice cannot name a
 branch that no config reaches.
 
-The same AST walk holds plain SGD to one trainer: only `model.sgd_train` and
-the alternate family's own epochs cut batches and take steps, and only
-`_Clients._train` dispatches to an attack. It also keeps
+The same AST walk holds plain SGD to one trainer: only `model.sgd_train`
+cuts batches, takes gradients and takes steps, the alternate family's epochs
+included, and only `_Clients._train` dispatches to an attack. It also keeps
 aggregation on plain arrays: only the model, the attacks and the round loop
 name `ModelParams`, so trust, the baselines, clustering and inference take
 and return ndarrays.
@@ -74,14 +74,9 @@ def test_only_the_config_boundary_raises_config_error():
     assert {(name, where) for name, where in raises if name not in BOUNDARY} == SETUP_CHECKS
 
 
-# the only callers of each training kernel; the weighted-gradient helper
-# also takes gradients, for the alternate family's poison epochs
-TRAINER_CALLS = {
-    "loss_and_grad": {("model.py", "sgd_train"), ("attacks.py", "alternate_attack"),
-                      ("attacks.py", "_weighted_grad")},
-    "sgd_step": {("model.py", "sgd_train"), ("attacks.py", "alternate_attack")},
-    "epoch_batches": {("model.py", "sgd_train"), ("attacks.py", "alternate_attack")},
-}
+# the one caller of each training kernel
+TRAINER_CALLS = {name: {("model.py", "sgd_train")}
+                 for name in ("loss_and_grad", "sgd_step", "epoch_batches")}
 
 
 def callers(source: str, name: str) -> list:

@@ -167,6 +167,26 @@ def test_unknown_key_rejected():
         apply_overrides(SimConfig(), {"turbo": "1"})
 
 
+@pytest.mark.parametrize("key, text", [
+    ("hidden_dims", "64;;32"),
+    ("hidden_dims", "64;"),
+    ("trigger_indices", "0;;2"),
+    ("trigger_values", "3;-3; ;3;-3"),
+    ("voting_metrics", "gradient;;representation"),
+])
+def test_an_empty_tuple_item_is_an_error_naming_the_field(key, text):
+    # an empty item is no value, so it fails as one instead of being dropped
+    with pytest.raises(ConfigError, match=rf"^(cannot parse )?{key}\b"):
+        apply_overrides(SimConfig(), {key: text})
+
+
+@pytest.mark.parametrize("text", ["", " "])
+def test_a_wholly_empty_tuple_value_is_the_empty_tuple(text):
+    # what the config writer writes for ()
+    cfg = apply_overrides(SimConfig(aggregator="fedavg"), {"hidden_dims": text})
+    assert cfg.hidden_dims == ()
+
+
 def test_bad_bool_rejected():
     with pytest.raises(ConfigError):
         apply_overrides(SimConfig(), {"strict_paper_sign": "maybe"})
@@ -244,10 +264,10 @@ NAN, INF = float("nan"), float("inf")
     (dict(lr_client=NAN), "^lr_client must be finite"),
     (dict(lr_server=NAN), "^lr_server must be finite"),
     (dict(boost=INF), "^boost must be finite"),
-    (dict(lambda_clean=INF), "^lambda_clean must be finite"),
+    (dict(lr_server=0.0), "^lr_server must be > 0$"),
     (dict(stealth_rho=NAN), "^stealth_rho must be finite"),
     (dict(trigger_values=(3.0, NAN, 3.0, -3.0)), "^trigger_values must be finite"),
-    (dict(lambda_clean=0.0), "^lambda_clean must be > 0"),
+    (dict(lr_client=-1.0), "^lr_client must be > 0$"),
     (dict(stealth_rho=-5.0), "^stealth_rho must be >= 0"),
     (dict(per_class=0), "^per_class must be >= 1"),
     (dict(test_per_class=0), "^test_per_class must be >= 1"),
@@ -273,6 +293,10 @@ NAN, INF = float("nan"), float("inf")
     (dict(seed=-1), "^seed must be >= 0"),
     (dict(shards=0), "^shards must be >= 1"),
     (dict(voting_metrics=("gradient", "gradient")), "^voting_metrics must be distinct"),
+    (dict(voting_metrics=()), "^voting_metrics must name at least one metric$"),
+    (dict(selection_ratio=0.02), "^selection_ratio must select at least two clients per round$"),
+    (dict(lr_client=0.0), "^lr_client must be > 0$"),
+    (dict(lr_server=-0.5), "^lr_server must be > 0$"),
 ])
 def test_config_errors_name_the_field(kw, message):
     # each of these used to pass SimConfig and fail late, name another
@@ -293,7 +317,7 @@ def test_budget_edges_accepted():
     SimConfig(epochs=1, batch_size=1, hidden_dims=(1,))
     SimConfig(per_class=1, test_per_class=1, aux_per_class=1, base_count=1)
     SimConfig(aggregator="fedavg", hidden_dims=())
-    SimConfig(stealth_rho=0.0, lambda_clean=1e-9)
+    SimConfig(stealth_rho=0.0)
     SimConfig(num_classes=2, tau=0, trigger_target=1, aux_classes=2)
     SimConfig(trigger_target=9, aux_classes=10)
     SimConfig(attack="dba", dba_parts=4)

@@ -43,7 +43,7 @@ def test_recover_zero_update():
 def test_recover_rejects_bad_lr():
     # recover_last_layer_gradient divides by lr; the config that supplies it
     # rejects a non-positive learning rate
-    with pytest.raises(ConfigError, match="learning rates must be positive"):
+    with pytest.raises(ConfigError, match="^lr_client must be > 0$"):
         SimConfig(lr_client=0.0)
 
 

@@ -401,6 +401,45 @@ def test_sgd_train_multi_batch_stack_rows_equal_each_model_alone(k, n, hidden, s
         assert loop_rng.bit_generator.state == rng.bit_generator.state
 
 
+@settings(max_examples=60, deadline=None)
+@given(**STACKS, alone=st.booleans(), batch_size=st.integers(1, 6), epochs=st.integers(1, 5),
+       pull=st.just(0.0) | st.floats(0.0, 1.0), data=st.data())
+def test_sgd_train_resumed_over_calls_equals_one_call(k, n, hidden, seed, alone, batch_size,
+                                                     epochs, pull, data):
+    # epochs split over calls that each resume the delta the last one returned
+    model, datasets = stack_case(k, n, hidden, seed)
+    if alone:
+        x, y = datasets[0].samples, datasets[0].labels
+    else:
+        x = np.stack([d.samples for d in datasets])
+        y = np.stack([d.labels for d in datasets])
+    lead = x.shape[:-2]
+
+    def generators():
+        rngs = [np.random.default_rng(seed + i) for i in range(k)]
+        return rngs[0] if alone else rngs
+
+    def states(rng):
+        return [g.bit_generator.state for g in ([rng] if alone else rng)]
+
+    anchor = 0.1 * np.random.default_rng(seed + 1).standard_normal(lead + (model.dim,))
+    whole_rng = generators()
+    whole = sgd_train(model, x, y, epochs, 0.3, batch_size, whole_rng, anchor, pull)
+    cuts = data.draw(st.sets(st.integers(1, epochs - 1)) if epochs > 1 else st.just(set()))
+    bounds = [0, *sorted(cuts), epochs]
+    parts_rng, delta = generators(), None
+    for start, stop in zip(bounds, bounds[1:]):
+        before = None if delta is None else delta.tobytes()
+        resumed = sgd_train(model, x, y, stop - start, 0.3, batch_size, parts_rng, anchor, pull,
+                            delta)
+        # resumed on a copy: the delta passed in is left as it was
+        assert delta is None or delta.tobytes() == before
+        delta = resumed
+    assert delta.shape == lead + (model.dim,)
+    assert delta.tobytes() == whole.tobytes()
+    assert states(parts_rng) == states(whole_rng)
+
+
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 12), n=st.integers(1, 9), hidden=st.sampled_from([(6,), (6, 5)]),
        seed=st.integers(0, 2**32 - 1))
