@@ -282,7 +282,7 @@ class _Clients:
         """
         cfg, size = self.cfg, self.partitions[cid].size
         if cid not in self.pools:
-            return ("honest", size) if 1 <= size <= cfg.batch_size else ("local", cid)
+            return ("honest", size) if size <= cfg.batch_size else ("local", cid)
         if cfg.attack in ("basic", "dba"):
             return "basic", size
         return cfg.attack, (0 if cfg.attack == "sybil" else cid)

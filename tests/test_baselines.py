@@ -1,12 +1,18 @@
 """Reference aggregators against brute-force oracles."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedsim
 from fedsim import baselines
 from fedsim.baselines import (
     coordinate_median,
@@ -18,6 +24,7 @@ from fedsim.baselines import (
 from fedsim.config import SimConfig
 from fedsim.errors import ConfigError
 from fedsim.harness import run_experiment
+from test_golden import _DIGEST_SCRIPT, CASES, PARAMS_DIGESTS
 
 
 def rand_updates(rng, n, d=12):
@@ -123,6 +130,67 @@ def test_krum_bit_identical_to_broadcast_property(f, extra, d, seed, dups, sprea
         mat[rng.integers(n)] = mat[rng.integers(n)]
     ups = list(mat)
     assert krum(ups, f).tobytes() == broadcast_krum(ups, f).tobytes()
+
+
+def exact_scores(mat, f):
+    """Each row's Krum score from the full n x n x d broadcast's distances."""
+    n = mat.shape[0]
+    sq = ((mat[:, None, :] - mat[None, :, :]) ** 2).sum(axis=2)
+    return np.array([np.sort(np.delete(sq[i], i))[: n - f - 2].sum() for i in range(n)])
+
+
+def screened_updates(f, extra, d, seed, dups, offset):
+    """Rows at mixed 1e-3, 1 and 1e3 scales around a shared center, some of them copies."""
+    rng = np.random.default_rng(seed)
+    n = 2 * f + 3 + extra
+    mat = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    mat += offset * rng.standard_normal(d)
+    for _ in range(dups):
+        mat[rng.integers(n)] = mat[rng.integers(n)]
+    return mat
+
+
+SCREEN_DRAWS = dict(f=st.integers(0, 3), extra=st.integers(0, 6), d=st.integers(1, 40),
+                    seed=st.integers(0, 2**32 - 1), dups=st.integers(0, 4),
+                    offset=st.sampled_from([0.0, 1.0, 1e6]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**SCREEN_DRAWS)
+def test_krum_gram_interval_holds_the_exact_score(f, extra, d, seed, dups, offset):
+    # a far-off center leaves distances tiny next to the norms, where the Gram
+    # identity loses the most digits
+    mat = screened_updates(f, extra, d, seed, dups, offset)
+    scores, bound = baselines._gram_screen(mat, f)
+    exact = exact_scores(mat, f)
+    assert np.isfinite(bound).all()
+    assert ((scores - bound <= exact) & (exact <= scores + bound)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SCREEN_DRAWS)
+def test_krum_screen_keeps_every_row_when_the_squares_overflow(f, extra, d, seed, dups, offset):
+    z = screened_updates(f, extra, d, seed, dups, offset)
+    mat = np.copysign(1e155, z) + 1e150 * z  # every square exceeds the float64 range
+    scores, bound = baselines._gram_screen(mat, f)
+    assert not (scores - bound > np.min(scores + bound)).any()
+    with np.errstate(over="ignore"):
+        assert krum(list(mat), f).tobytes() == broadcast_krum(list(mat), f).tobytes()
+
+
+def test_krum_golden_digests_at_one_and_two_blas_threads():
+    # the Gram screen runs a BLAS-3 kernel whose summation order follows the thread
+    # count, and the thread count is read once, when numpy loads
+    names = ["krum-basic", "krum-sybil"]
+    configs = json.dumps([{"rounds": 4, **CASES[name]} for name in names])
+    src = str(Path(fedsim.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src,
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                               threads)}
+        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, configs], env=env,
+                             capture_output=True, text=True, timeout=300, check=True).stdout
+        assert out.split() == [PARAMS_DIGESTS[name] for name in names], f"{threads} BLAS threads"
 
 
 def test_krum_memory_is_linear_in_n():

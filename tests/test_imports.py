@@ -1,6 +1,8 @@
-"""Every module-level import in src/fedsim is used, or re-exported through __all__."""
+"""Every module-level import in src/fedsim is used, or re-exported through __all__,
+and is relative, numpy or the standard library: fedsim depends on numpy alone."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fedsim"
@@ -33,3 +35,28 @@ def test_every_module_import_is_used_or_exported():
     assert len(paths) >= 10
     unused = {path.name: unused_imports(path.read_text()) for path in paths}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level packages that module-level imports name, other than numpy and the stdlib."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - {"numpy"} - sys.stdlib_module_names)
+
+
+def test_foreign_imports_finds_the_third_party_packages():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy.linalg as la\n"
+              "from . import model\nfrom .errors import ShapeError\nimport scipy.spatial\n"
+              "from scipy.spatial.distance import cdist\nfrom sklearn import cluster\n")
+    assert foreign_imports(source) == ["scipy", "sklearn"]
+
+
+def test_every_module_import_is_relative_numpy_or_stdlib():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    foreign = {path.name: foreign_imports(path.read_text()) for path in paths}
+    assert {name: names for name, names in foreign.items() if names} == {}
