@@ -1,24 +1,24 @@
 """Backdoor client behaviors: basic, alternate, distributed-trigger, sybil, adaptive.
 
-Every attack degenerates to honest training when its knobs are neutral
-(no poison, boost 1, pull 0), byte for byte under equal seeds. The
-alternate family interleaves poison epochs with clean epochs that pull the
-weights toward a benign-looking update; the adaptive variant additionally
-edits the finished update's last-layer block to forge the server-side
-class-sufficiency inference.
+Every attack trains K attackers whose clean sets share one size as one
+stack and returns (K, d): row k is byte for byte attacker k's update trained
+alone, left unchecked for the caller to name. Each degenerates to honest
+training when its knobs are neutral (no poison, boost 1, pull 0), byte for
+byte under equal seeds. The alternate family interleaves poison epochs with
+clean epochs that pull the weights toward a benign-looking update; the
+adaptive variant additionally forges each update's class-sufficiency claim.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .config import SimConfig
-from .data import LabeledDataset, TriggerPattern, concat_datasets
+from .data import LabeledDataset, TriggerPattern, concat_datasets, stack_datasets
 from .inference import class_indicator, recover_last_layer_gradient
-from .model import (ModelParams, Shapes, finite_update, last_layer_weight_block, local_train,
-                    sgd_train)
+from .model import ModelParams, Shapes, last_layer_weight_block, local_train, sgd_train
 
 # the attack surface; local_train stays while perfbench's tracer tests expect
 # to find it bound here, as in the package root
@@ -43,8 +43,10 @@ def make_poison_pool(base: LabeledDataset, trig: TriggerPattern) -> LabeledDatas
     )
 
 
-def _training_set(clean: LabeledDataset, poison: LabeledDataset, count: int) -> LabeledDataset:
-    return concat_datasets([clean, poison.subset(np.arange(count))])
+def _training_stack(cleans: Sequence[LabeledDataset], pools: Sequence[LabeledDataset],
+                    count: int) -> Tuple[np.ndarray, np.ndarray]:
+    return stack_datasets([concat_datasets([clean, pool.subset(np.arange(count))])
+                           for clean, pool in zip(cleans, pools)])
 
 
 def basic_attack(
@@ -54,48 +56,45 @@ def basic_attack(
     cfg: SimConfig,
     seeds: Sequence[int],
 ) -> np.ndarray:
-    """Plain data poisoning by K attackers at once: honest SGD over each one's clean + triggered records.
+    """Plain data poisoning: honest SGD over each attacker's clean + triggered records.
 
-    The K clean sets share one size, so their training sets do too, and train as one
-    `sgd_train` stack. Row k of the (K, d) result is byte for byte attacker k's own
-    update, trained alone with a generator seeded by seeds[k]; the finiteness check is
-    left to the caller, which knows whom to name.
+    Attacker k trains with a generator seeded by seeds[k].
     """
-    mixed = [_training_set(clean, pool, cfg.poison_count) for clean, pool in zip(cleans, pools)]
-    return sgd_train(global_params, np.stack([m.samples for m in mixed]),
-                     np.stack([m.labels for m in mixed]), cfg.epochs, cfg.lr_client,
-                     cfg.batch_size, [np.random.default_rng(seed) for seed in seeds])
+    return sgd_train(global_params, *_training_stack(cleans, pools, cfg.poison_count),
+                     cfg.epochs, cfg.lr_client, cfg.batch_size,
+                     [np.random.default_rng(seed) for seed in seeds])
 
 
 def alternate_attack(
     global_params: ModelParams,
-    clean: LabeledDataset,
-    poison: LabeledDataset,
-    benign_delta: np.ndarray,
+    cleans: Sequence[LabeledDataset],
+    pools: Sequence[LabeledDataset],
+    anchors: np.ndarray,
     cfg: SimConfig,
-    seed: int,
+    seeds: Sequence[int],
 ) -> np.ndarray:
-    """Alternate poison epochs with stealth epochs, then boost the update.
+    """Alternate poison epochs with stealth epochs, then boost the updates.
 
-    Each epoch is one `sgd_train` call that resumes the last one's delta, all drawing from
-    one generator. Even epochs train on clean + poison. Odd epochs train on clean data with
-    each step pulled toward the benign anchor by min(2*lr*rho, 1) * (theta - anchor); the
-    clip keeps the pull stable for arbitrarily large rho, and as rho grows the update
-    converges to the anchor. The finished delta is scaled by the boost coefficient.
+    Each epoch is one `sgd_train` call that resumes the last one's delta; attacker k draws
+    from a generator seeded by seeds[k]. Even epochs train on clean + poison. Odd epochs
+    train on clean data with each step pulled toward row k of the (K, d) benign `anchors` by
+    min(2*lr*rho, 1) * (theta - anchor); the clip keeps the pull stable for any rho, and as
+    rho grows the update converges to the anchor. The finished delta is scaled by the boost.
     """
-    mixed = _training_set(clean, poison, cfg.poison_count)
+    clean = stack_datasets(cleans)
+    mixed = _training_stack(cleans, pools, cfg.poison_count)
     pull = min(2.0 * cfg.lr_client * cfg.stealth_rho, 1.0)
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     delta = None
     for h in range(cfg.epochs):
-        data, epoch_pull = (clean, pull) if h % 2 else (mixed, 0.0)
-        delta = sgd_train(global_params, data.samples, data.labels, 1, cfg.lr_client,
-                          cfg.batch_size, rng, benign_delta, epoch_pull, delta)
-    return finite_update(delta * cfg.boost)
+        (x, y), epoch_pull = (clean, pull) if h % 2 else (mixed, 0.0)
+        delta = sgd_train(global_params, x, y, 1, cfg.lr_client, cfg.batch_size, rngs, anchors,
+                          epoch_pull, delta)
+    return delta * cfg.boost
 
 
 def sybil_updates(leader: np.ndarray, colluders: Sequence[int]) -> np.ndarray:
-    """One row per selected colluder, each byte-identical to the leader's update."""
+    """One row per selected colluder, each byte-identical to the leader's one-row update."""
     return np.tile(leader, (len(colluders), 1))
 
 
@@ -121,7 +120,7 @@ def forge_full_claim(delta: np.ndarray, shapes: Shapes, cfg: SimConfig) -> np.nd
         target = float(u.max())
     shift = target + FORGE_MARGIN - float(u.min())
     if shift > 0.0:
-        rows, cols = shapes[-1]
+        cols = shapes[-1][1]
         block = last_layer_weight_block(delta, shapes)
         block += lr * shift / cols  # in-place on the flat vector's view
     return delta
@@ -129,12 +128,14 @@ def forge_full_claim(delta: np.ndarray, shapes: Shapes, cfg: SimConfig) -> np.nd
 
 def adaptive_attack(
     global_params: ModelParams,
-    clean: LabeledDataset,
-    poison: LabeledDataset,
-    benign_delta: np.ndarray,
+    cleans: Sequence[LabeledDataset],
+    pools: Sequence[LabeledDataset],
+    anchors: np.ndarray,
     cfg: SimConfig,
-    seed: int,
+    seeds: Sequence[int],
 ) -> np.ndarray:
-    """Alternate attack whose finished update also forges a full-class claim."""
-    delta = alternate_attack(global_params, clean, poison, benign_delta, cfg, seed)
-    return finite_update(forge_full_claim(delta, global_params.shapes, cfg))
+    """Alternate attack whose finite updates also forge a full-class claim, each its own."""
+    rows = alternate_attack(global_params, cleans, pools, anchors, cfg, seeds)
+    for k in np.flatnonzero(np.isfinite(rows).all(axis=1)):
+        rows[k] = forge_full_claim(rows[k], global_params.shapes, cfg)
+    return rows

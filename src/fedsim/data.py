@@ -170,3 +170,8 @@ def concat_datasets(parts: Sequence[LabeledDataset]) -> LabeledDataset:
         np.concatenate([ds.labels for ds in parts]),
         m,
     )
+
+
+def stack_datasets(parts: Sequence[LabeledDataset]) -> Tuple[np.ndarray, np.ndarray]:
+    """(K, n, width) samples and (K, n) labels of K datasets of one size n: a training stack."""
+    return np.stack([ds.samples for ds in parts]), np.stack([ds.labels for ds in parts])

@@ -26,6 +26,7 @@ from .data import (
     gen_dataset,
     ground_truth_abstract,
     partition_noniid,
+    stack_datasets,
 )
 from .errors import ConfigError, ShapeError, TrainingError
 from .model import (
@@ -251,8 +252,7 @@ class _Clients:
 
         The selected clients train in groups, one `_train` call each; every row is byte
         for byte its client's update trained alone. A group's failure names its first
-        client; the rows are then checked to be finite in one pass, and a failure names the
-        client of the first row that is not.
+        client, and a row that is not finite names its own.
         """
         groups: Dict[Tuple[str, int], List[int]] = {}
         for i, cid in enumerate(selected):
@@ -266,53 +266,58 @@ class _Clients:
         U = np.empty((len(selected), theta.dim))
         for rows, block in trained:
             U[rows] = block
-        finite = np.isfinite(U).all(axis=1)
-        if not finite.all():
-            first = int(np.argmin(finite))  # the first row that is not finite
-            with _naming(t, selected[first]):
-                finite_update(U[first])
-        return U
+        return _finite_rows(U, selected, t)
 
     def _group(self, cid: int) -> Tuple[str, int]:
         """(kind, key) of client cid; the clients that share both train in one call.
 
-        Honest clients whose data fit in one batch group by data size, and so do basic
-        and dba attackers (dba differs only in its pools' trigger slices) by the size of
-        their clean data. All sybil colluders form one group. Everyone else trains alone.
+        Honest clients whose data fit in one batch group by data size, and attackers by the
+        size of their clean data: basic and dba share one kind (dba differs only in its
+        pools' trigger slices), alternate and adaptive have their own. All sybil colluders
+        form one group. An honest client with more than one batch trains alone.
         """
         cfg, size = self.cfg, self.partitions[cid].size
         if cid not in self.pools:
             return ("honest", size) if size <= cfg.batch_size else ("local", cid)
         if cfg.attack in ("basic", "dba"):
             return "basic", size
-        return cfg.attack, (0 if cfg.attack == "sybil" else cid)
+        return cfg.attack, (0 if cfg.attack == "sybil" else size)
 
     def _train(self, kind: str, theta: ModelParams, ids: Sequence[int], t: int) -> np.ndarray:
-        """The updates of one group: one row per client of `ids`, or the (d,) update of a
-        client that trains alone. A group that draws nothing derives no seed."""
+        """The updates of one group: one row per client of `ids`, or the (d,) update of an
+        honest client that trains alone. A group that draws nothing derives no seed."""
         cfg = self.cfg
+        if kind == "sybil":  # every selected colluder submits a copy of the first one's update
+            return attacks.sybil_updates(self._train("alternate", theta, ids[:1], t), ids)
         cleans = [self.partitions[cid] for cid in ids]
         if kind == "honest":
             # the stacked data are built inside the call, so they are freed once it returns
-            return sgd_train(theta, np.stack([clean.samples for clean in cleans]),
-                             np.stack([clean.labels for clean in cleans]),
-                             cfg.epochs, cfg.lr_client, cfg.batch_size, None)
-        if kind == "basic":
-            return attacks.basic_attack(theta, cleans, [self.pools[cid] for cid in ids], cfg,
-                                        [derive_seed(cfg.seed, _CLIENT, t, cid) for cid in ids])
-        # one client trains: an honest one alone, or an alternate-family attacker (for
-        # sybil, the first selected colluder) anchored on its own honest update
-        cid, clean = ids[0], cleans[0]
-        seed = derive_seed(cfg.seed, _CLIENT, t, cid)
+            return sgd_train(theta, *stack_datasets(cleans), cfg.epochs, cfg.lr_client,
+                             cfg.batch_size, None)
+        seeds = [derive_seed(cfg.seed, _CLIENT, t, cid) for cid in ids]
         if kind == "local":
-            return local_train(theta, clean, cfg.epochs, cfg.lr_client, cfg.batch_size, seed)
-        benign = local_train(theta, clean, cfg.epochs, cfg.lr_client, cfg.batch_size,
-                             derive_seed(cfg.seed, _BENIGN, t, cid))
+            return local_train(theta, cleans[0], cfg.epochs, cfg.lr_client, cfg.batch_size,
+                               seeds[0])
+        pools = [self.pools[cid] for cid in ids]
+        if kind == "basic":
+            return attacks.basic_attack(theta, cleans, pools, cfg, seeds)
+        # the alternate family: each attacker is anchored on its own honest update
+        benign = [np.random.default_rng(derive_seed(cfg.seed, _BENIGN, t, cid)) for cid in ids]
+        anchors = _finite_rows(sgd_train(theta, *stack_datasets(cleans), cfg.epochs,
+                                         cfg.lr_client, cfg.batch_size, benign), ids, t)
         if kind == "adaptive":
-            return attacks.adaptive_attack(theta, clean, self.pools[cid], benign, cfg, seed)
-        update = attacks.alternate_attack(theta, clean, self.pools[cid], benign, cfg, seed)
-        # every selected colluder submits a copy of the leader's update
-        return attacks.sybil_updates(update, ids) if kind == "sybil" else update
+            return attacks.adaptive_attack(theta, cleans, pools, anchors, cfg, seeds)
+        return attacks.alternate_attack(theta, cleans, pools, anchors, cfg, seeds)
+
+
+def _finite_rows(rows: np.ndarray, ids: Sequence[int], t: int) -> np.ndarray:
+    """`rows` itself, once each is finite; else the first row that is not names its client."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        with _naming(t, ids[first]):
+            finite_update(rows[first])
+    return rows
 
 
 @contextlib.contextmanager
@@ -321,6 +326,8 @@ def _naming(t: int, cid: int) -> Iterator[None]:
     try:
         yield
     except (ShapeError, TrainingError) as exc:
+        if exc.__cause__ is not None:  # an inner block has named its own client
+            raise
         raise type(exc)(f"round {t}, client {cid}: {exc}") from exc
 
 

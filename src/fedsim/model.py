@@ -65,9 +65,6 @@ class ModelParams:
         """(weight, bias) views into the flat vector, in layer order, with its leading axes."""
         return self._layers
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.flat.copy(), self.shapes)
-
 
 def _layer_views(flat: np.ndarray, shapes: Sequence[Tuple[int, int]]) -> Layers:
     """(weight, bias) views into `flat`, in layer order, with its leading axes."""

@@ -14,7 +14,7 @@ from fedsim.baselines import coordinate_median, fedavg, krum, trimmed_mean
 from fedsim.clustering import active_columns, compute_thresholds, greedy_cluster
 from fedsim.config import SimConfig
 from fedsim.harness import run_experiment, write_csv
-from fedsim.model import init_model, loss_and_grad
+from fedsim.model import ModelParams, init_model, loss_and_grad
 
 SEEDS = (1, 2, 3)
 
@@ -212,7 +212,7 @@ def test_criterion_8_numerical_core():
     h = 1e-5
     worst = 0.0
     for idx in rng.choice(model.dim, size=100, replace=False):
-        theta = model.copy()
+        theta = ModelParams(model.flat.copy(), model.shapes)
         theta.flat[idx] += h
         up, _ = loss_and_grad(theta, x, y)
         theta.flat[idx] -= 2 * h

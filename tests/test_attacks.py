@@ -13,15 +13,16 @@ from fedsim.attacks import (
     make_poison_pool,
     sybil_updates,
 )
+from fedsim import harness
 from fedsim.config import SimConfig
-from fedsim.data import TriggerPattern, class_means, concat_datasets, gen_dataset
+from fedsim.data import LabeledDataset, TriggerPattern, class_means, concat_datasets, gen_dataset
 from fedsim.errors import ConfigError, TrainingError
 from fedsim.inference import (
     class_indicator,
     infer_column,
     recover_last_layer_gradient,
 )
-from fedsim.model import init_model, local_train, loss_and_grad
+from fedsim.model import ModelParams, init_model, local_train, loss_and_grad
 from fedsim.trust import aggregate, cosine_similarity
 
 M, R_IN = 6, 16
@@ -45,6 +46,13 @@ def honest_update(model, clean, seed=10):
 def knobs(**kw):
     """A config training like honest_update, with the given attack knobs."""
     return SimConfig(**{"epochs": 4, "lr_client": 0.05, "batch_size": 16, **kw})
+
+
+def alone(attack, model, clean, pool, benign, cfg, seed):
+    """One attacker's update: the one row of a stack of one."""
+    rows = attack(model, [clean], [pool], benign[None], cfg, [seed])
+    assert rows.shape == (1, model.dim)
+    return rows[0]
 
 
 def test_spec_validation():
@@ -95,13 +103,19 @@ def test_basic_degenerates_to_honest(setup, seed, per_class, epochs, batch_size,
 
 
 @settings(max_examples=40, deadline=None)
-@given(**NEUTRAL_RUNS)
-def test_alternate_degenerates_to_honest(setup, seed, per_class, epochs, batch_size):
-    clean, pool, model, cfg = neutral_case(setup, per_class, epochs, batch_size)
-    honest = local_train(model, clean, epochs, cfg.lr_client, batch_size, seed)
-    benign = honest_update(model, clean, seed=77)  # an anchor with zero pull
-    attack = alternate_attack(model, clean, pool, benign, cfg, seed)
-    assert attack.tobytes() == honest.tobytes()
+@given(**NEUTRAL_RUNS, k=st.integers(1, 4))
+def test_alternate_degenerates_to_honest(setup, seed, per_class, epochs, batch_size, k):
+    # k neutral attackers of one clean size train as one stack, each row its honest update
+    _, pool, model, cfg = neutral_case(setup, per_class, epochs, batch_size)
+    means = class_means(M, R_IN, seed=4)
+    cleans = [gen_dataset(M, R_IN, per_class, seed=per_class + j, means=means) for j in range(k)]
+    seeds = [(seed + j) % 2**32 for j in range(k)]
+    anchors = np.stack([honest_update(model, clean, seed=77) for clean in cleans])  # zero pull
+    attack = alternate_attack(model, cleans, [pool] * k, anchors, cfg, seeds)
+    assert attack.shape == (k, model.dim)
+    for row, clean, s in zip(attack, cleans, seeds):
+        assert row.tobytes() == local_train(model, clean, epochs, cfg.lr_client, batch_size,
+                                            s).tobytes()
 
 
 def written_out_alternate(model, clean, pool, benign, cfg, seed):
@@ -110,7 +124,7 @@ def written_out_alternate(model, clean, pool, benign, cfg, seed):
     lr, b = cfg.lr_client, cfg.batch_size
     pull = min(2.0 * lr * cfg.stealth_rho, 1.0)
     rng = np.random.default_rng(seed)
-    theta, delta = model.copy(), np.zeros(model.dim)
+    theta, delta = ModelParams(model.flat.copy(), model.shapes), np.zeros(model.dim)
     for h in range(cfg.epochs):
         data = clean if h % 2 else mixed
         order = np.arange(data.size) if b >= data.size else rng.permutation(data.size)
@@ -124,21 +138,30 @@ def written_out_alternate(model, clean, pool, benign, cfg, seed):
     return delta * cfg.boost
 
 
-# lr_client is 0.05, so the stealth pull min(2 * lr * rho, 1) clips at 1 from rho = 10 on
+# lr_client is 0.05, so the stealth pull min(2 * lr * rho, 1) clips at 1 from rho = 10 on;
+# k attackers of one clean size, each with its own clean set, pool, anchor and seed
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), per_class=st.integers(1, 6), epochs=st.integers(1, 4),
-       batch_size=st.integers(1, 40), poison_count=st.integers(0, 20),
+@given(k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), per_class=st.integers(1, 6),
+       epochs=st.integers(1, 4), batch_size=st.integers(1, 40), poison_count=st.integers(0, 20),
        stealth_rho=st.just(0.0) | st.floats(0.0, 30.0), boost=st.floats(1.0, 5.0))
-def test_alternate_family_equals_the_written_out_loop(setup, seed, per_class, epochs, batch_size,
-                                                      poison_count, stealth_rho, boost):
-    clean, pool, model, _ = neutral_case(setup, per_class, epochs, batch_size)
+def test_alternate_family_equals_the_written_out_loop(setup, k, seed, per_class, epochs,
+                                                      batch_size, poison_count, stealth_rho,
+                                                      boost):
+    _, base, _, model = setup
+    means = class_means(M, R_IN, seed=4)
+    cleans = [gen_dataset(M, R_IN, per_class, seed=per_class + j, means=means) for j in range(k)]
+    pools = [make_poison_pool(base, TRIG.part(k, j)) for j in range(k)]
+    anchors = np.stack([honest_update(model, clean, seed=77 + j) for j, clean in enumerate(cleans)])
+    seeds = [(seed + j) % 2**32 for j in range(k)]
     cfg = knobs(poison_count=poison_count, stealth_rho=stealth_rho, boost=boost, epochs=epochs,
                 batch_size=batch_size)
-    benign = honest_update(model, clean, seed=77)
-    expected = written_out_alternate(model, clean, pool, benign, cfg, seed)
-    assert alternate_attack(model, clean, pool, benign, cfg, seed).tobytes() == expected.tobytes()
-    forged = forge_full_claim(expected, model.shapes, cfg)
-    assert adaptive_attack(model, clean, pool, benign, cfg, seed).tobytes() == forged.tobytes()
+    rows = alternate_attack(model, cleans, pools, anchors, cfg, seeds)
+    forged = adaptive_attack(model, cleans, pools, anchors, cfg, seeds)
+    assert rows.shape == forged.shape == (k, model.dim)
+    for j in range(k):
+        expected = written_out_alternate(model, cleans[j], pools[j], anchors[j], cfg, seeds[j])
+        assert rows[j].tobytes() == expected.tobytes()
+        assert forged[j].tobytes() == forge_full_claim(expected, model.shapes, cfg).tobytes()
 
 
 def test_dba_part_one_equals_basic(setup):
@@ -165,27 +188,27 @@ def test_stealth_pull_dominates_at_huge_rho(setup):
     clean, _, pool, model = setup
     benign = honest_update(model, clean, seed=77)
     cfg = knobs(poison_count=30, boost=1.0, stealth_rho=1e4)
-    attack = alternate_attack(model, clean, pool, benign, cfg, seed=10)
+    attack = alone(alternate_attack, model, clean, pool, benign, cfg, seed=10)
     assert cosine_similarity(attack, benign) > 0.99
 
 
 def test_boost_scales_update_exactly(setup):
     clean, _, pool, model = setup
     benign = honest_update(model, clean, seed=77)
-    d1 = alternate_attack(model, clean, pool, benign,
-                          knobs(poison_count=20, epochs=2, boost=1.0), seed=11)
-    d5 = alternate_attack(model, clean, pool, benign,
-                          knobs(poison_count=20, epochs=2, boost=5.0), seed=11)
+    d1 = alone(alternate_attack, model, clean, pool, benign,
+               knobs(poison_count=20, epochs=2, boost=1.0), seed=11)
+    d5 = alone(alternate_attack, model, clean, pool, benign,
+               knobs(poison_count=20, epochs=2, boost=5.0), seed=11)
     assert np.array_equal(d5, 5.0 * d1)
 
 
 def test_boost_invisible_after_normalized_aggregation(setup):
     clean, _, pool, model = setup
     benign = honest_update(model, clean, seed=77)
-    d1 = alternate_attack(model, clean, pool, benign,
-                          knobs(poison_count=20, epochs=2, boost=1.0), seed=11)
-    d5 = alternate_attack(model, clean, pool, benign,
-                          knobs(poison_count=20, epochs=2, boost=5.0), seed=11)
+    d1 = alone(alternate_attack, model, clean, pool, benign,
+               knobs(poison_count=20, epochs=2, boost=1.0), seed=11)
+    d5 = alone(alternate_attack, model, clean, pool, benign,
+               knobs(poison_count=20, epochs=2, boost=5.0), seed=11)
     out1 = aggregate(d1[None], np.array([0.3]))
     out5 = aggregate(d5[None], np.array([0.3]))
     assert np.max(np.abs(out1 - out5)) < 1e-12
@@ -194,7 +217,7 @@ def test_boost_invisible_after_normalized_aggregation(setup):
 def test_sybil_copies_are_byte_identical(setup):
     clean, _, pool, model = setup
     leader = honest_update(model, clean)
-    copies = sybil_updates(leader, [3, 7, 9])
+    copies = sybil_updates(leader[None], [3, 7, 9])
     assert len(copies) == 3
     for u in copies:
         assert np.array_equal(u, leader) and u is not leader
@@ -224,7 +247,7 @@ def test_adaptive_touches_only_last_layer_block(setup):
     benign = honest_update(model, clean, seed=77)
     cfg = knobs(poison_count=0, boost=1.0, stealth_rho=0.0, threshold_mode="mean")
     honest = honest_update(model, clean)
-    attack = adaptive_attack(model, clean, pool, benign, cfg, seed=10)
+    attack = alone(adaptive_attack, model, clean, pool, benign, cfg, seed=10)
     tail = M * 12 + M  # last layer weight block + bias
     head = attack.size - tail
     assert np.array_equal(attack[:head], honest[:head])
@@ -235,17 +258,26 @@ def test_attack_updates_finite(setup):
     clean, _, pool, model = setup
     benign = honest_update(model, clean, seed=77)
     cfg = knobs(poison_count=30, boost=2.0, stealth_rho=0.1)
-    upd = alternate_attack(model, clean, pool, benign, cfg, seed=1)
+    upd = alone(alternate_attack, model, clean, pool, benign, cfg, seed=1)
     assert np.all(np.isfinite(upd))
 
 
-@pytest.mark.parametrize("attack", [alternate_attack, adaptive_attack])
+@pytest.mark.parametrize("attack", ["alternate", "adaptive"],
+                         ids=["alternate_attack", "adaptive_attack"])
 def test_diverging_attack_update_rejected(setup, attack):
-    clean, _, pool, model = setup
-    benign = honest_update(model, clean, seed=77)
+    # attackers 0 and 1 hold clean sets of one size, so they train as one stack; only
+    # attacker 1's pool is so large that its poison epochs overflow, and it is named
+    _, _, _, model = setup
+    means = class_means(M, R_IN, seed=4)
+    parts = [gen_dataset(M, R_IN, 5, seed=20 + j, means=means) for j in range(3)]
+    cfg = knobs(attack=attack, n_clients=3, shards=3, num_malicious=2, selection_ratio=1.0,
+                poison_count=30)
+    clients = harness._Clients(cfg, parts, TRIG)
+    pool = clients.pools[1]
+    clients.pools[1] = LabeledDataset(pool.samples * 1e200, pool.labels, M)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingError, match="^non-finite update$"):
-            attack(model, clean, pool, benign, knobs(poison_count=30, lr_client=1e200), seed=1)
+        with pytest.raises(TrainingError, match=r"^round 0, client 1: non-finite update$"):
+            clients.updates(model, [0, 1, 2], 0)
 
 
 def test_poison_count_exceeding_pool_rejected(setup):

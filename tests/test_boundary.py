@@ -11,7 +11,8 @@ branch that no config reaches.
 
 The same AST walk holds plain SGD to one trainer: only `model.sgd_train`
 cuts batches, takes gradients and takes steps, the alternate family's epochs
-included, and only `_Clients._train` dispatches to an attack. It also keeps
+included, only `_Clients._train` dispatches to an attack, and only the round
+loop's `_finite_rows` checks a stack's rows for finiteness. It also keeps
 aggregation on plain arrays: only the model, the attacks and the round loop
 name `ModelParams`, so trust, the baselines, clustering and inference take
 and return ndarrays.
@@ -121,6 +122,18 @@ def test_only_the_trainer_batches_steps_and_takes_gradients(name):
              for path in sorted(SRC.glob("*.py"))
              for where in callers(path.read_text(), name)}
     assert calls == TRAINER_CALLS[name]
+
+
+# the one finite-row check: a lone client's update, and the rows of an update matrix or of a
+# group's anchors, each naming its own client; the attacks leave their rows to it
+FINITE_CALLS = {("model.py", "local_train"), ("harness.py", "_finite_rows")}
+
+
+def test_only_local_train_and_the_row_check_call_finite_update():
+    calls = {(path.name, where)
+             for path in sorted(SRC.glob("*.py"))
+             for where in callers(path.read_text(), "finite_update")}
+    assert calls == FINITE_CALLS
 
 
 # the one attack dispatch: only _Clients._train calls an attack, and the

@@ -109,6 +109,33 @@ def test_run_records_structure_defense():
         assert all(len(bits) == cfg.num_classes for bits in r.inferred_columns)
 
 
+@settings(max_examples=50, deadline=None)
+@given(n_clients=st.sampled_from([4, 5, 8, 10]), ratio=st.sampled_from([0.5, 0.8, 1.0]),
+       attack=st.sampled_from(["none", "basic", "alternate", "dba", "sybil", "adaptive"]),
+       num_malicious=st.integers(0, 2),
+       threshold_mode=st.sampled_from(["mean", "mean_plus_std", "absolute"]),
+       voting_metrics=st.sampled_from([("gradient",), ("representation",),
+                                       ("gradient", "representation")]),
+       seed=st.integers(0, 2**16))
+def test_defended_round_records_keep_their_invariants(n_clients, ratio, attack, num_malicious,
+                                                      threshold_mode, voting_metrics, seed):
+    cfg = SimConfig(n_clients=n_clients, shards=5 * n_clients, per_class=20,
+                    selection_ratio=ratio, rounds=3, epochs=2, attack=attack,
+                    num_malicious=num_malicious, threshold_mode=threshold_mode,
+                    voting_metrics=voting_metrics, seed=seed, pool_size=60, poison_count=10,
+                    test_per_class=10, base_count=20)
+    for rec in run_experiment(cfg).records:
+        assert set(rec.discarded) <= set(rec.selected)
+        assert rec.flagged == (len(rec.discarded) == len(rec.selected))
+        assert sum(rec.accumulated) == pytest.approx(1.0)
+        assert all(size <= rec.cluster_size_cap for size in rec.cluster_sizes)
+        assert all(count <= rec.per_client_cap for count in rec.memberships)
+        # every member of a cluster of s >= 2 votes for max(1, min(k_vote, s // 2)) peers
+        k_vote = max(1, rec.cluster_size_cap // 2)
+        picks = sum(s * max(1, min(k_vote, s // 2)) for s in rec.cluster_sizes if s >= 2)
+        assert sum(rec.votes) == len(voting_metrics) * picks
+
+
 def test_record_lists_hold_plain_python_values():
     # numpy scalars print like Python ones in the CSV but not in JSON or repr
     res = run_experiment(tiny_cfg(attack="sybil", rounds=3))
@@ -268,17 +295,18 @@ def attack_clients(sizes, attack, num_malicious, **kw):
     return harness._Clients(cfg, parts, trigger), theta
 
 
-@pytest.mark.parametrize("attack", ["basic", "dba"])
+@pytest.mark.parametrize("attack", ["basic", "dba", "alternate", "adaptive"])
 def test_poisoners_train_as_one_stack_per_clean_size(monkeypatch, attack):
     from fedsim import attacks
     # attackers 0, 2 and 4 hold 30 records, 1 and 3 hold 12; each trains beyond one batch
     clients, theta = attack_clients([30, 12, 30, 12, 30, 10, 10, 40], attack, 5, batch_size=16)
     calls = []
-    orig = attacks.basic_attack
-    def spy(params, cleans, pools, cfg, seeds):
+    name = "basic_attack" if attack == "dba" else f"{attack}_attack"
+    orig = getattr(attacks, name)
+    def spy(params, cleans, *args):
         calls.append([clean.size for clean in cleans])
-        return orig(params, cleans, pools, cfg, seeds)
-    monkeypatch.setattr(attacks, "basic_attack", spy)
+        return orig(params, cleans, *args)
+    monkeypatch.setattr(attacks, name, spy)
     for t in range(2):
         clients.updates(theta, list(range(8)), t)
     assert calls == [[30, 30, 30], [12, 12]] * 2
@@ -298,15 +326,35 @@ def test_non_finite_poisoner_row_names_its_own_client(monkeypatch):
         clients.updates(theta, list(range(8)), 3)
 
 
+@pytest.mark.parametrize("attack", ["alternate", "adaptive"])
+def test_non_finite_anchor_row_names_its_own_client_before_the_attack_trains(monkeypatch,
+                                                                            attack):
+    from fedsim import attacks, harness
+    clients, theta = attack_clients([30, 12, 30, 12, 30, 10, 10, 40], attack, 5, batch_size=16)
+    orig = harness.sgd_train
+    def second_anchor_diverges(*args):
+        rows = orig(*args)
+        rows[1, 5] = np.nan
+        return rows
+    def untrained(*args):
+        pytest.fail("the attack trained on a non-finite anchor")
+    monkeypatch.setattr(harness, "sgd_train", second_anchor_diverges)
+    monkeypatch.setattr(attacks, f"{attack}_attack", untrained)
+    # client 7 trains alone, so the one stack harness trains holds the anchors of 0, 2 and 4
+    with pytest.raises(TrainingError, match=r"^round 3, client 2: non-finite update$"):
+        clients.updates(theta, [0, 2, 4, 7], 3)
+
+
 def test_sybil_leader_trains_once_per_round_that_selects_a_colluder(monkeypatch):
     from fedsim import attacks
     # clients 0, 1 and 2 collude; the first of them selected leads
     clients, theta = attack_clients([30, 30, 30, 20, 20, 20], "sybil", 3, batch_size=16)
     leaders = []
     orig = attacks.alternate_attack
-    def spy(params, clean, *args):
+    def spy(params, cleans, *args):
+        [clean] = cleans  # a stack of one: the leader
         leaders.append(next(cid for cid, part in enumerate(clients.partitions) if part is clean))
-        return orig(params, clean, *args)
+        return orig(params, cleans, *args)
     monkeypatch.setattr(attacks, "alternate_attack", spy)
     for t, selected in enumerate([[1, 2, 4], [3, 4, 5], [0, 2, 3, 5], [2, 3]]):
         U = clients.updates(theta, selected, t)
@@ -338,7 +386,8 @@ def test_empty_partition_keeps_its_own_error():
         clients.updates(theta, [0, 1, 2], 1)
 
 
-# clients 0 and 1 attack; 2, 3 and 6 stack, and so do 4 and 7; 5 holds three batches of 16
+# clients 0 and 1 attack with 30 records each, so they stack; 2, 3 and 6 stack, and so do
+# 4 and 7; 5 holds three batches of 16
 MIXED_SIZES = [30, 30, 10, 10, 12, 40, 10, 12]
 
 
@@ -378,8 +427,9 @@ def test_update_matrix_rows_are_each_clients_own_update(attack, t, seed):
         benign = local_train(theta, parts[cid], cfg.epochs, cfg.lr_client, cfg.batch_size,
                              harness.derive_seed(cfg.seed, harness._BENIGN, t, cid))
         kind = attacks.adaptive_attack if attack == "adaptive" else attacks.alternate_attack
-        return kind(theta, parts[cid], clients.pools[cid], benign, cfg,
-                    harness.derive_seed(cfg.seed, harness._CLIENT, t, cid))
+        [row] = kind(theta, [parts[cid]], [clients.pools[cid]], benign[None], cfg,
+                     [harness.derive_seed(cfg.seed, harness._CLIENT, t, cid)])
+        return row
 
     for i, cid in enumerate(selected):
         assert U[i].tobytes() == own(cid).tobytes()

@@ -158,7 +158,7 @@ def test_gradient_matches_finite_differences():
     _, grad = loss_and_grad(model, x, y)
     h = 1e-5
     for idx in rng.choice(model.dim, size=50, replace=False):
-        theta = model.copy()
+        theta = ModelParams(model.flat.copy(), model.shapes)
         theta.flat[idx] += h
         up, _ = loss_and_grad(theta, x, y)
         theta.flat[idx] -= 2 * h
@@ -338,7 +338,7 @@ def test_sgd_train_stack_rows_equal_local_train_alone(k, n, hidden, seed, extra,
     for row, data in zip(rows, datasets):
         assert row.tobytes() == local_train(model, data, epochs, lr, n + extra, seed).tobytes()
         # and that step is plain full-batch SGD written out with one-model calls
-        theta, delta = model.copy(), np.zeros(model.dim)
+        theta, delta = ModelParams(model.flat.copy(), model.shapes), np.zeros(model.dim)
         for _ in range(epochs):
             _, grad = loss_and_grad(theta, data.samples, data.labels)
             delta = delta - lr * grad
@@ -389,7 +389,7 @@ def test_sgd_train_multi_batch_stack_rows_equal_each_model_alone(k, n, hidden, s
         assert rng.bit_generator.state == alone_rng.bit_generator.state
         # and that is minibatch SGD written out with one-model calls
         loop_rng = np.random.default_rng(s)
-        theta, delta = model.copy(), np.zeros(model.dim)
+        theta, delta = ModelParams(model.flat.copy(), model.shapes), np.zeros(model.dim)
         for _ in range(epochs):
             order = np.arange(n) if n <= batch_size else loop_rng.permutation(n)
             for start in range(0, n, batch_size):
