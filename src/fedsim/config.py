@@ -79,12 +79,11 @@ class SimConfig:
             kind, value = _FIELD_TYPES[f.name], getattr(self, f.name)
             if not _holds(kind, value):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-            if get_origin(kind) is tuple:  # a list too, so to_text can write it
+            items = value if get_origin(kind) is tuple else (value,)
+            if items is value:  # a tuple field, given as a list too, so to_text can write it
                 object.__setattr__(self, f.name, tuple(value))
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
+            if any(isinstance(v, numbers.Real) and not math.isfinite(v) for v in items):
                 raise ConfigError(f"{f.name} must be finite")
-        if not all(math.isfinite(v) for v in self.trigger_values):
-            raise ConfigError("trigger_values must be finite")
         if not (0.0 < self.selection_ratio <= 1.0):
             raise ConfigError("selection_ratio must lie in (0, 1]")
         per_round = round(self.selection_ratio * self.n_clients)

@@ -133,7 +133,6 @@ CSV_HEADER = ",".join(f.name for f in fields(RoundRecord))
 class ExperimentResult:
     config: SimConfig
     records: List[RoundRecord]
-    ground_truth: np.ndarray
     final_params: ModelParams
 
     def summary(self) -> Dict[str, object]:
@@ -206,7 +205,7 @@ def run_experiment(cfg: SimConfig) -> ExperimentResult:
         record.accuracy, record.asr, record.asr_defined = evaluate(
             theta, test, trigger, cfg.base_count)
         records.append(record)
-    return ExperimentResult(cfg, records, ground_truth, theta)
+    return ExperimentResult(cfg, records, theta)
 
 
 def _build_attack_pools(

@@ -148,23 +148,9 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tuple[fl
     gradient is written into its view of one flat vector. For a stack of
     models, shape (..., d), x is (..., n, width) and y is (..., n): one batch
     per model, all of one size n. The loss then has the leading shape and the
-    gradient the stack's shape.
+    gradient the stack's shape. Unchecked: `sgd_train` checks its stack once per call.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    lead = params.flat.shape[:-1]
-    if x.ndim != len(lead) + 2 or y.ndim != len(lead) + 1:
-        raise ShapeError("inputs must be 2-D and labels 1-D for each model of the stack")
     n = x.shape[-2]
-    if x.shape[:-1] != y.shape or y.shape[:-1] != lead:
-        raise ShapeError("inputs and labels disagree on batch size")
-    if n < 1:
-        raise ShapeError("batch must contain at least one sample")
-    if (np.minimum.reduce(y, axis=None) < 0
-            or np.maximum.reduce(y, axis=None) >= params.num_classes):
-        raise ShapeError("labels out of range for the model's class count")
-    if x.shape[-1] != params.shapes[0][1]:
-        raise ShapeError("batch width does not match the model input width")
     layers = params.layers()
     logits, acts = _forward(layers, x)
 
@@ -204,76 +190,67 @@ def finite_update(delta: np.ndarray) -> np.ndarray:
     return delta
 
 
-def epoch_batches(n: int, batch_size: int,
-                  rng: np.random.Generator | Sequence[np.random.Generator] | None
-                  ) -> List[slice | np.ndarray | Tuple[np.ndarray, np.ndarray]]:
-    """One epoch's batches of n records: the data as given, `slice(None)`, leaving `rng`
-    untouched, when they fit one batch; else consecutive slices of a fresh permutation.
-
-    With one generator a batch indexes the first axis of one model's data. With a sequence
-    of K, one per model of a stack, each draws its own `permutation(n)`, and a batch is the
+def epoch_batches(n: int, batch_size: int, rng: Sequence[np.random.Generator] | None
+                  ) -> List[slice | Tuple[np.ndarray, np.ndarray]]:
+    """One epoch's batches of a stack of models with n records each: the data as given,
+    `slice(None)`, leaving `rng` untouched, when they fit one batch; else each of the K
+    generators, one per model, draws its own `permutation(n)`, and a batch is the
     (models, records) pair that gathers model k's records from row k of the stack.
     """
     if n <= batch_size:
         return [slice(None)]
-    if isinstance(rng, np.random.Generator):
-        order = rng.permutation(n)
-        return [order[start:start + batch_size] for start in range(0, n, batch_size)]
     order = np.stack([g.permutation(n) for g in rng])
     models = np.arange(len(order))[:, None]
     return [(models, order[:, start:start + batch_size]) for start in range(0, n, batch_size)]
 
 
-def sgd_step(params: ModelParams, theta: ModelParams, delta: np.ndarray, grad: np.ndarray,
-             lr: float, anchor: np.ndarray | None = None, pull: float = 0.0) -> None:
-    """One step in place: delta -= lr * grad, then theta = params + delta.
-
-    The update is accumulated directly, so one step yields -lr*grad exactly;
-    scaling `grad` in place gives the same doubles as lr * grad. Before theta
-    is written, a positive `pull` moves delta that fraction of the way to `anchor`.
-    """
-    grad *= lr
-    delta -= grad
-    if pull > 0.0:
-        delta -= pull * (delta - anchor)
-    np.add(params.flat, delta, out=theta.flat)
-
-
 def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
-              batch_size: int,
-              rng: np.random.Generator | Sequence[np.random.Generator] | None,
+              batch_size: int, rng: Sequence[np.random.Generator] | None,
               anchor: np.ndarray | None = None, pull: float = 0.0,
               delta: np.ndarray | None = None) -> np.ndarray:
-    """Plain minibatch SGD (no momentum) from `params`; returns delta = theta_after - theta_before.
+    """Plain minibatch SGD (no momentum) of a stack of models from `params`; returns the
+    (K, d) delta = theta_after - theta_before.
 
-    x is one model's (n, width) data with (n,) labels and `rng` one generator, or a
-    (K, n, width) stack with (K, n) labels and one generator per model; `params` is tiled
-    to x's leading shape, and row k of a stack's (K, d) delta is byte for byte the update
-    of its k-th dataset alone with the k-th generator. Each epoch's batches come from
-    `epoch_batches`. Data that fit in one batch draw nothing, so `rng` may then be None.
-    Every step passes `anchor` and `pull` to `sgd_step`. A `delta` that an earlier call
-    returned resumes that training on a copy: theta starts at params + delta, as its last
-    step wrote it. The finiteness check is left to the caller, which knows whom to name.
+    x is a (K, n, width) stack of K datasets of one size n with (K, n) labels, and `rng` one
+    generator per model; row k of the delta is byte for byte the update of its k-th dataset
+    alone with the k-th generator. Data that fit in one batch draw nothing, so `rng` may then
+    be None. After each step a positive `pull` moves the delta that fraction of the way to
+    `anchor`. A `delta` that an earlier call returned resumes that training on a copy: theta
+    starts at params + delta, as its last step wrote it. The stack is checked here, once per
+    call and before the first step, so `loss_and_grad` and `epoch_batches` check nothing; the
+    finiteness check is left to the caller, which knows whom to name.
     """
-    lead, n = x.shape[:-2], x.shape[-2]
-    if n < 1:
+    if x.ndim != 3 or y.shape != x.shape[:2]:
+        raise ShapeError(f"a training stack is (K, n, width) inputs with (K, n) labels, "
+                         f"not {x.shape} and {y.shape}")
+    k, n, width = x.shape
+    if k < 1 or n < 1:
         raise TrainingError("cannot train on an empty dataset")
-    if lead and (rng is not None or n > batch_size):
+    if width != params.shapes[0][1]:
+        raise ShapeError(f"inputs of width {width} do not match the model input width "
+                         f"{params.shapes[0][1]}")
+    if y.min() < 0 or y.max() >= params.num_classes:
+        raise ShapeError("labels out of range for the model's class count")
+    if rng is not None or n > batch_size:
         count = 0 if rng is None else len(rng)
-        if lead != (count,):
-            raise ShapeError(f"a stack of shape {lead} trains with one generator per model, "
+        if count != k:
+            raise ShapeError(f"a stack of {k} models trains with one generator per model, "
                              f"not {count}")
     if delta is None:
-        theta = ModelParams(np.tile(params.flat, lead + (1,)), params.shapes)
+        theta = ModelParams(np.tile(params.flat, (k, 1)), params.shapes)
         delta = np.zeros(theta.flat.shape)
     else:
         theta = ModelParams(params.flat + delta, params.shapes)
         delta = delta.copy()
     for _ in range(epochs):
         for idx in epoch_batches(n, batch_size, rng):
-            # the gradient is left unbound, so it is freed before the next one exists
-            sgd_step(params, theta, delta, loss_and_grad(theta, x[idx], y[idx])[1], lr, anchor,
-                     pull)
+            grad = loss_and_grad(theta, x[idx], y[idx])[1]
+            grad *= lr  # scaling in place gives the same doubles as lr * grad
+            delta -= grad
+            del grad  # freed before the next gradient exists
+            if pull > 0.0:
+                delta -= pull * (delta - anchor)
+            np.add(params.flat, delta, out=theta.flat)
     return delta
 
 
@@ -285,12 +262,13 @@ def local_train(
     batch_size: int,
     seed: int,
 ) -> np.ndarray:
-    """`sgd_train` of one dataset, with one generator seeded by `seed`; returns the finite delta.
+    """`sgd_train` of one dataset as a stack of one, with one generator seeded by `seed`;
+    returns the finite (d,) delta.
 
     epochs, lr and batch_size are taken as SimConfig checked them.
     """
-    return finite_update(sgd_train(params, data.samples, data.labels, epochs, lr, batch_size,
-                                   np.random.default_rng(seed)))
+    return finite_update(sgd_train(params, data.samples[None], data.labels[None], epochs, lr,
+                                   batch_size, [np.random.default_rng(seed)])[0])
 
 
 def representation(params: ModelParams, aux: LabeledDataset) -> np.ndarray:

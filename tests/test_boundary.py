@@ -11,7 +11,8 @@ branch that no config reaches.
 
 The same AST walk holds plain SGD to one trainer: only `model.sgd_train`
 cuts batches, takes gradients and takes steps, the alternate family's epochs
-included, only `_Clients._train` dispatches to an attack, and only the round
+included, and it checks each call's stack once, so the kernels it calls raise
+nothing. Only `_Clients._train` dispatches to an attack, and only the round
 loop's `_finite_rows` checks a stack's rows for finiteness. It also keeps
 aggregation on plain arrays: only the model, the attacks and the round loop
 name `ModelParams`, so trust, the baselines, clustering and inference take
@@ -76,8 +77,7 @@ def test_only_the_config_boundary_raises_config_error():
 
 
 # the one caller of each training kernel
-TRAINER_CALLS = {name: {("model.py", "sgd_train")}
-                 for name in ("loss_and_grad", "sgd_step", "epoch_batches")}
+TRAINER_CALLS = {name: {("model.py", "sgd_train")} for name in ("loss_and_grad", "epoch_batches")}
 
 
 def callers(source: str, name: str) -> list:
@@ -122,6 +122,44 @@ def test_only_the_trainer_batches_steps_and_takes_gradients(name):
              for path in sorted(SRC.glob("*.py"))
              for where in callers(path.read_text(), name)}
     assert calls == TRAINER_CALLS[name]
+
+
+def raisers(source: str) -> list:
+    """Name of each module-level function that holds a `raise`, nested functions included."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(inner, ast.Raise) for inner in ast.walk(node))]
+
+
+def test_raisers_finds_every_raising_function():
+    source = (
+        "def kernel(x):\n"
+        "    return x + 1\n"
+        "def checked(x):\n"
+        "    if x < 0:\n"
+        "        raise ValueError(x)\n"
+        "    return x\n"
+        "def nested(x):\n"
+        "    def inner():\n"
+        "        raise\n"
+        "    return inner\n"
+        "class Holder:\n"
+        "    def method(self):\n"
+        "        raise TypeError\n"
+        "def says_raise():\n"
+        "    return 'raise'\n"
+    )
+    assert raisers(source) == ["checked", "nested"]
+
+
+def test_the_training_kernels_raise_nothing():
+    # sgd_train checks each call's stack once, before its first step, so no check creeps
+    # back into the kernels it calls on every step
+    source = (SRC / "model.py").read_text()
+    defined = [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
+    assert set(TRAINER_CALLS) <= set(defined)
+    assert "sgd_train" in raisers(source)
+    assert set(raisers(source)).isdisjoint(TRAINER_CALLS)
 
 
 # the one finite-row check: a lone client's update, and the rows of an update matrix or of a

@@ -222,23 +222,24 @@ def test_local_train_does_not_mutate_input():
 
 def test_local_train_empty_dataset():
     model = init_model([8, 6, 4], seed=3)
-    with pytest.raises(ShapeError):
-        loss_and_grad(model, np.zeros((0, 8)), np.zeros(0, dtype=int))
     with pytest.raises(TrainingError):
         local_train(model, LabeledDataset(np.zeros((0, 8)), np.zeros(0, dtype=int), 4),
                     epochs=1, lr=0.1, batch_size=4, seed=0)
 
 
-@pytest.mark.parametrize("x, y", [
-    (np.zeros(8), np.array([0])),               # 1-D inputs
-    (np.zeros((1, 8)), np.array([[0]])),        # 2-D labels
-    (np.zeros((2, 8)), np.array([0])),          # lengths differ
-    (np.zeros((1, 7)), np.array([0])),          # width differs from the model's
-    (np.zeros((1, 8)), np.array([4])),          # label beyond the class count
+@pytest.mark.parametrize("x, y, rngs", [
+    (np.zeros(8), np.array([0]), None),                 # 1-D inputs
+    (np.zeros((1, 8)), np.array([[0]]), None),          # 2-D labels
+    (np.zeros((2, 8)), np.array([0]), None),            # lengths differ
+    (np.zeros((1, 7)), np.array([0]), None),            # width differs from the model's
+    (np.zeros((1, 8)), np.array([4]), None),            # label beyond the class count
+    (np.zeros((1, 8)), np.array([0]), [np.random.default_rng(s) for s in range(2)]),
 ])
-def test_loss_and_grad_rejects_bad_batches(x, y):
+def test_sgd_train_rejects_a_bad_stack_before_any_step(x, y, rngs):
+    # one model's data as a stack of one; with no epochs no step is taken, so the
+    # error can only come from the check of the whole call
     with pytest.raises(ShapeError):
-        loss_and_grad(init_model([8, 6, 4], seed=3), x, y)
+        sgd_train(init_model([8, 6, 4], seed=3), x[None], y[None], 0, 0.1, 4, rngs)
 
 
 def test_representation_single_and_duplicates():
@@ -283,16 +284,20 @@ def test_last_layer_weight_block_view():
 @given(n=st.integers(1, 50), batch_size=st.integers(1, 60), epochs=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_epoch_batches_cut_one_fresh_permutation_per_epoch(n, batch_size, epochs, seed):
-    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed + k) for k in range(3)]
+    twins = [np.random.default_rng(seed + k) for k in range(3)]
     for _ in range(epochs):
-        batches = epoch_batches(n, batch_size, rng)
+        batches = epoch_batches(n, batch_size, rngs)
         if n <= batch_size:
-            # the data as given, and no draw from the generator
+            # the data as given, and no draw from any generator
             assert batches == [slice(None)]
-            assert rng.bit_generator.state == twin.bit_generator.state
+            assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in twins]
         else:
-            assert all(len(batch) == batch_size for batch in batches[:-1])
-            assert np.concatenate(batches).tolist() == twin.permutation(n).tolist()
+            assert all(models.ravel().tolist() == [0, 1, 2] for models, _ in batches)
+            assert all(records.shape == (3, batch_size) for _, records in batches[:-1])
+            rows = np.concatenate([records for _, records in batches], axis=1)
+            for row, twin in zip(rows, twins):
+                assert row.tolist() == twin.permutation(n).tolist()
 
 
 # a stack of models is K models side by side: every oracle below compares it
@@ -382,12 +387,9 @@ def test_sgd_train_multi_batch_stack_rows_equal_each_model_alone(k, n, hidden, s
     rows = sgd_train(model, x, y, epochs, lr, batch_size, rngs)
     assert rows.shape == (k, model.dim)
     for row, data, s, rng in zip(rows, datasets, seeds, rngs):
-        alone_rng = np.random.default_rng(s)
-        alone = sgd_train(model, data.samples, data.labels, epochs, lr, batch_size, alone_rng)
-        assert row.tobytes() == alone.tobytes()
-        # one permutation per model per epoch: each generator ends where the lone run's does
-        assert rng.bit_generator.state == alone_rng.bit_generator.state
-        # and that is minibatch SGD written out with one-model calls
+        assert row.tobytes() == local_train(model, data, epochs, lr, batch_size, s).tobytes()
+        # and that is minibatch SGD written out with one-model calls, one permutation per
+        # model per epoch, so each generator ends where the loop's does
         loop_rng = np.random.default_rng(s)
         theta, delta = ModelParams(model.flat.copy(), model.shapes), np.zeros(model.dim)
         for _ in range(epochs):
@@ -402,27 +404,22 @@ def test_sgd_train_multi_batch_stack_rows_equal_each_model_alone(k, n, hidden, s
 
 
 @settings(max_examples=60, deadline=None)
-@given(**STACKS, alone=st.booleans(), batch_size=st.integers(1, 6), epochs=st.integers(1, 5),
+@given(**STACKS, batch_size=st.integers(1, 6), epochs=st.integers(1, 5),
        pull=st.just(0.0) | st.floats(0.0, 1.0), data=st.data())
-def test_sgd_train_resumed_over_calls_equals_one_call(k, n, hidden, seed, alone, batch_size,
-                                                     epochs, pull, data):
+def test_sgd_train_resumed_over_calls_equals_one_call(k, n, hidden, seed, batch_size, epochs,
+                                                     pull, data):
     # epochs split over calls that each resume the delta the last one returned
     model, datasets = stack_case(k, n, hidden, seed)
-    if alone:
-        x, y = datasets[0].samples, datasets[0].labels
-    else:
-        x = np.stack([d.samples for d in datasets])
-        y = np.stack([d.labels for d in datasets])
-    lead = x.shape[:-2]
+    x = np.stack([d.samples for d in datasets])
+    y = np.stack([d.labels for d in datasets])
 
     def generators():
-        rngs = [np.random.default_rng(seed + i) for i in range(k)]
-        return rngs[0] if alone else rngs
+        return [np.random.default_rng(seed + i) for i in range(k)]
 
-    def states(rng):
-        return [g.bit_generator.state for g in ([rng] if alone else rng)]
+    def states(rngs):
+        return [g.bit_generator.state for g in rngs]
 
-    anchor = 0.1 * np.random.default_rng(seed + 1).standard_normal(lead + (model.dim,))
+    anchor = 0.1 * np.random.default_rng(seed + 1).standard_normal((k, model.dim))
     whole_rng = generators()
     whole = sgd_train(model, x, y, epochs, 0.3, batch_size, whole_rng, anchor, pull)
     cuts = data.draw(st.sets(st.integers(1, epochs - 1)) if epochs > 1 else st.just(set()))
@@ -435,7 +432,7 @@ def test_sgd_train_resumed_over_calls_equals_one_call(k, n, hidden, seed, alone,
         # resumed on a copy: the delta passed in is left as it was
         assert delta is None or delta.tobytes() == before
         delta = resumed
-    assert delta.shape == lead + (model.dim,)
+    assert delta.shape == (k, model.dim)
     assert delta.tobytes() == whole.tobytes()
     assert states(parts_rng) == states(whole_rng)
 
@@ -476,20 +473,7 @@ def reference_forward(layers, x):
 
 
 def reference_loss_and_grad(params, x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    lead = params.flat.shape[:-1]
-    if x.ndim != len(lead) + 2 or y.ndim != len(lead) + 1:
-        raise ShapeError("inputs must be 2-D and labels 1-D for each model of the stack")
     n = x.shape[-2]
-    if x.shape[:-1] != y.shape or y.shape[:-1] != lead:
-        raise ShapeError("inputs and labels disagree on batch size")
-    if n < 1:
-        raise ShapeError("batch must contain at least one sample")
-    if y.min() < 0 or y.max() >= params.num_classes:
-        raise ShapeError("labels out of range for the model's class count")
-    if x.shape[-1] != params.shapes[0][1]:
-        raise ShapeError("batch width does not match the model input width")
     layers = params.layers()
     logits, acts = reference_forward(layers, x)
 
