@@ -9,21 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
 from .trust import ZERO_NORM_EPS
 
 
-def _stack(updates) -> np.ndarray:
-    """The (n, d) update matrix itself, not a copy, when it already is one."""
-    mat = np.asarray(updates, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ShapeError("updates must be flat vectors")
-    return mat
-
-
-def fedavg(updates) -> np.ndarray:
-    """Arithmetic mean of the update vectors."""
-    return _stack(updates).mean(axis=0)
+def fedavg(updates: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of the update rows."""
+    return updates.mean(axis=0)
 
 
 def _gram_screen(mat: np.ndarray, f: int):
@@ -66,48 +57,46 @@ def _gram_screen(mat: np.ndarray, f: int):
     return scores, bound
 
 
-def krum(updates, f: int) -> np.ndarray:
+def krum(updates: np.ndarray, f: int) -> np.ndarray:
     """The single update with the smallest summed squared distance to its n-f-2 nearest peers.
 
     Ties go to the lowest index. A row's exact distances are the row sums of
-    `np.square(mat - mat[i])`, the arithmetic of the full n x n x d broadcast, so the
+    `np.square(updates - updates[i])`, the arithmetic of the full n x n x d broadcast, so the
     choice is bit-identical to it. Only candidate rows get them: `_gram_screen` scores
     every row from one Gram matrix within a rigorous bound E, and a row whose interval
     [S - E, S + E] lies strictly above the least S + E scores strictly above the
     minimum, so the lowest-index minimum is always a candidate. A NaN bound keeps
     every row a candidate; at worst every row is one, which is n exact rows.
     """
-    mat = _stack(updates)
-    n = mat.shape[0]
-    scores, bound = _gram_screen(mat, f)
+    n = updates.shape[0]
+    scores, bound = _gram_screen(updates, f)
     rows = np.flatnonzero(~(scores - bound > np.min(scores + bound)))
-    buf = np.empty(mat.shape)  # C order, so each row sums in the broadcast's order
+    buf = np.empty(updates.shape)  # C order, so each row sums in the broadcast's order
     exact = np.empty(len(rows))
     for s, i in enumerate(rows):
-        np.subtract(mat, mat[i], out=buf)
+        np.subtract(updates, updates[i], out=buf)
         np.square(buf, out=buf)
         d = np.delete(np.add.reduce(buf, axis=1), i)
         d.sort()
         exact[s] = d[: n - f - 2].sum()
-    return mat[rows[int(np.argmin(exact))]].copy()
+    return updates[rows[int(np.argmin(exact))]].copy()
 
 
-def coordinate_median(updates) -> np.ndarray:
+def coordinate_median(updates: np.ndarray) -> np.ndarray:
     """Per-coordinate median (even counts average the two middle values)."""
-    return np.median(_stack(updates), axis=0)
+    return np.median(updates, axis=0)
 
 
-def trimmed_mean(updates, f: int) -> np.ndarray:
+def trimmed_mean(updates: np.ndarray, f: int) -> np.ndarray:
     """Per-coordinate mean after dropping the largest f and smallest f values."""
-    mat = _stack(updates)
-    n = mat.shape[0]
+    n = updates.shape[0]
     if f == 0:
-        return mat.mean(axis=0)
-    s = np.sort(mat, axis=0)
+        return updates.mean(axis=0)
+    s = np.sort(updates, axis=0)
     return s[f: n - f].mean(axis=0)
 
 
-def fltrust(updates, server_update: np.ndarray) -> np.ndarray:
+def fltrust(updates: np.ndarray, server_update: np.ndarray) -> np.ndarray:
     """Server-anchored trust weighting.
 
     Each client scores ReLU(cosine) against the server's own update on its
@@ -115,19 +104,15 @@ def fltrust(updates, server_update: np.ndarray) -> np.ndarray:
     trust-weighted mean. If every score is zero the server update itself is
     returned.
     """
-    mat = _stack(updates)
-    server_update = np.asarray(server_update, dtype=np.float64)
-    if server_update.shape != mat.shape[1:]:
-        raise ShapeError("server update length differs from client updates")
     s_norm = np.linalg.norm(server_update)
     if s_norm < ZERO_NORM_EPS:
         return server_update.copy()
-    norms = np.linalg.norm(mat, axis=1)
+    norms = np.linalg.norm(updates, axis=1)
     safe = np.maximum(norms, ZERO_NORM_EPS)
-    cos = (mat @ server_update) / (safe * s_norm)
+    cos = (updates @ server_update) / (safe * s_norm)
     cos[norms < ZERO_NORM_EPS] = 0.0
     ts = np.maximum(cos, 0.0)
     if ts.sum() <= 0:
         return server_update.copy()
-    rescaled = mat * (s_norm / safe)[:, None]
+    rescaled = updates * (s_norm / safe)[:, None]
     return (ts[:, None] * rescaled).sum(axis=0) / ts.sum()

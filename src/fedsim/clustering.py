@@ -14,8 +14,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ShapeError
-
 
 def active_columns(A: np.ndarray) -> np.ndarray:
     """Boolean mask of clients that claim at least one class.
@@ -24,7 +22,6 @@ def active_columns(A: np.ndarray) -> np.ndarray:
     voted on); they are excluded from threshold statistics and from the
     greedy pass.
     """
-    A = np.asarray(A)
     return A.sum(axis=0) > 0
 
 
@@ -36,9 +33,6 @@ def compute_thresholds(A: np.ndarray) -> Tuple[int, int]:
     spread over the m clusters. Both are at least 1, and both are 1 when no
     client claims any class.
     """
-    A = np.asarray(A, dtype=np.uint8)
-    if A.ndim != 2:
-        raise ShapeError("sufficiency matrix must be 2-D")
     m = A.shape[0]
     mask = active_columns(A)
     if not mask.any():
@@ -60,9 +54,6 @@ def greedy_cluster(A: np.ndarray, th: Tuple[int, int]) -> np.ndarray:
     after every removal, so the pass is deterministic and each removal flips
     exactly one bit. Inactive (all-zero) columns are never touched.
     """
-    A = np.asarray(A, dtype=np.uint8)
-    if A.ndim != 2:
-        raise ShapeError("sufficiency matrix must be 2-D")
     per_client, per_cluster = th
     x = A.copy()
     while x.sum(axis=1).max(initial=0) > per_cluster or x.sum(axis=0).max(initial=0) > per_client:
@@ -77,5 +68,4 @@ def greedy_cluster(A: np.ndarray, th: Tuple[int, int]) -> np.ndarray:
 
 def membership_histograms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cluster sizes, per-client membership counts) for reporting."""
-    x = np.asarray(x)
     return x.sum(axis=1).astype(np.int64), x.sum(axis=0).astype(np.int64)

@@ -82,7 +82,11 @@ class SimConfig:
             items = value if get_origin(kind) is tuple else (value,)
             if items is value:  # a tuple field, given as a list too, so to_text can write it
                 object.__setattr__(self, f.name, tuple(value))
-            if any(isinstance(v, numbers.Real) and not math.isfinite(v) for v in items):
+            try:  # an int too large for a float overflows math.isfinite
+                finite = all(math.isfinite(v) for v in items if isinstance(v, numbers.Real))
+            except OverflowError:
+                finite = False
+            if not finite:
                 raise ConfigError(f"{f.name} must be finite")
         if not (0.0 < self.selection_ratio <= 1.0):
             raise ConfigError("selection_ratio must lie in (0, 1]")

@@ -94,14 +94,11 @@ def class_means(m: int, r_in: int, seed: int) -> np.ndarray:
 
 
 def gen_dataset(m: int, r_in: int, per_class: int, seed: int, means: np.ndarray) -> LabeledDataset:
-    """per_class samples from each of m Gaussian classes (sigma = 1) around `means`.
+    """per_class samples from each of m Gaussian classes (sigma = 1) around the (m, r_in) `means`.
 
     One set of class centers (`class_means`) shared by the train/test/aux
     splits, drawn with different seeds, makes them describe the same task.
     """
-    means = np.asarray(means, dtype=np.float64)
-    if means.shape != (m, r_in):
-        raise ShapeError("means shape must be (m, r_in)")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((m * per_class, r_in)) + np.repeat(means, per_class, axis=0)
     y = np.repeat(np.arange(m), per_class)
@@ -162,13 +159,10 @@ def ground_truth_abstract(clients: Sequence[LabeledDataset], tau: int) -> np.nda
 
 def concat_datasets(parts: Sequence[LabeledDataset]) -> LabeledDataset:
     """Stack datasets that share a class count."""
-    m = parts[0].num_classes
-    if any(ds.num_classes != m for ds in parts):
-        raise ShapeError("datasets disagree on class count")
     return LabeledDataset(
         np.concatenate([ds.samples for ds in parts]),
         np.concatenate([ds.labels for ds in parts]),
-        m,
+        parts[0].num_classes,
     )
 
 

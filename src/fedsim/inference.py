@@ -32,10 +32,10 @@ def recover_last_layer_gradient(
 
 
 def class_indicator(G: np.ndarray) -> np.ndarray:
-    """Negated row sums of the accumulated gradient (..., m, h); larger means more samples."""
-    G = np.asarray(G, dtype=np.float64)
-    if G.ndim < 2:
-        raise ShapeError("gradient block must be at least 2-D")
+    """Negated row sums of the accumulated gradient (..., m, h); larger means more samples.
+
+    The block holds client-sent values, so it must be finite before any arithmetic reads it.
+    """
     if not np.all(np.isfinite(G)):
         raise ShapeError("gradient block contains non-finite values")
     return -G.sum(axis=-1)
@@ -47,7 +47,6 @@ def infer_column(u: np.ndarray, threshold_mode: str, beta: float) -> np.ndarray:
     "mean" and "mean_plus_std" derive each row's threshold from that row;
     "absolute" uses beta for every row.
     """
-    u = np.asarray(u, dtype=np.float64)
     if threshold_mode == "mean":
         beta = u.mean(axis=-1, keepdims=True)
     elif threshold_mode == "mean_plus_std":
@@ -56,11 +55,5 @@ def infer_column(u: np.ndarray, threshold_mode: str, beta: float) -> np.ndarray:
 
 
 def distribution_accuracy(A: np.ndarray, A_hat: np.ndarray) -> float:
-    """Fraction of matching elements between two bit matrices."""
-    A = np.asarray(A)
-    A_hat = np.asarray(A_hat)
-    if A.shape != A_hat.shape:
-        raise ShapeError(f"shape mismatch: {A.shape} vs {A_hat.shape}")
-    if A.size == 0:
-        raise ShapeError("empty matrices have no accuracy")
+    """Fraction of matching elements between two non-empty bit matrices of one shape."""
     return float(np.mean(A == A_hat))

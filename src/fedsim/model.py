@@ -125,18 +125,12 @@ def _forward(layers: Layers, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray
 
 
 def forward(params: ModelParams, inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Run the network; returns (logits, penultimate activation).
+    """Run the network on (n, width) inputs; returns (logits, penultimate activation).
 
     The penultimate activation is the input to the final linear layer: ReLU
     output of the last hidden layer, or the raw inputs for a one-layer net.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.shapes[0][1]:
-        raise ShapeError(
-            f"inputs of width {x.shape[-1] if x.ndim else '?'} do not match "
-            f"first layer input width {params.shapes[0][1]}"
-        )
-    logits, acts = _forward(params.layers(), x)
+    logits, acts = _forward(params.layers(), inputs)
     return logits, acts[-1]
 
 
@@ -273,8 +267,6 @@ def local_train(
 
 def representation(params: ModelParams, aux: LabeledDataset) -> np.ndarray:
     """Mean penultimate activation over the auxiliary samples, one row per model of a stack."""
-    if aux.size < 1:
-        raise ShapeError("auxiliary batch must be non-empty")
     _, pen = forward(params, aux.samples)
     return pen.mean(axis=-2)
 

@@ -16,18 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError
 from .model import softmax
 
 ZERO_NORM_EPS = 1e-12
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Standard cosine; degenerate (near-zero) vectors score 0."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"vector lengths differ: {a.shape} vs {b.shape}")
+    """Standard cosine of two vectors of one length; degenerate (near-zero) vectors score 0."""
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
@@ -35,8 +30,8 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def similarity_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Pairwise cosine matrix for the given per-client vectors."""
+def similarity_matrix(vectors: np.ndarray) -> np.ndarray:
+    """Pairwise cosine matrix of the rows of a (k, h) array, one row per client."""
     k = len(vectors)
     S = np.eye(k)
     for i in range(k):
@@ -47,13 +42,11 @@ def similarity_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return S
 
 
-def cluster_votes(
-    x: np.ndarray, vectors: Sequence[np.ndarray], k_vote: int
-) -> np.ndarray:
+def cluster_votes(x: np.ndarray, vectors: np.ndarray, k_vote: int) -> np.ndarray:
     """Total nearest-neighbour votes per client over all clusters.
 
-    `x` is the cluster assignment (clusters by rows) over exactly the
-    clients whose vectors are supplied, column-aligned. In each cluster,
+    `x` is the (m, n) cluster assignment (clusters by rows) and `vectors` the
+    (n, h) array of the same n clients, column j of `x` for row j. In each cluster,
     every member votes for its most similar peers; the vote budget is
     k_vote, reduced to floor(members/2) in clusters smaller than the
     target size so that votes stay selective (never one vote for every
@@ -61,15 +54,12 @@ def cluster_votes(
     lower column index. Clusters with fewer than two members cast no
     votes.
     """
-    x = np.asarray(x, dtype=np.uint8)
-    if x.ndim != 2 or x.shape[1] != len(vectors):
-        raise ShapeError("assignment columns must match the vector list")
     votes = np.zeros(x.shape[1], dtype=np.int64)
     for row in x:
         members = np.flatnonzero(row)
         if members.size < 2:
             continue
-        S = similarity_matrix([vectors[j] for j in members])
+        S = similarity_matrix(vectors[members])
         np.fill_diagonal(S, -np.inf)
         take = max(1, min(k_vote, members.size // 2))
         # each member's picks: a stable sort on -similarity, so ties go to the lower index
@@ -106,8 +96,6 @@ class TrustLedger:
         `immediate` is overwritten in place, so a discard must read it first.
         """
         selected = np.asarray(selected, dtype=np.int64)
-        if len(selected) != len(K_selected):
-            raise ShapeError("selected ids and vote counts disagree on length")
         T_now = softmax(np.asarray(K_selected, dtype=np.float64))
         self.immediate.fill(np.nan)
         self.immediate[selected] = T_now
@@ -134,8 +122,6 @@ def aggregate(updates: np.ndarray, trust: np.ndarray) -> np.ndarray:
     Each update is scaled to unit norm first so magnitude boosting buys an
     attacker nothing; zero-norm updates are skipped, and no rows sum to zero.
     """
-    if len(updates) != len(trust):
-        raise ShapeError("updates and trust weights disagree on length")
     step = np.zeros(updates.shape[1])
     for upd, t in zip(updates, trust):
         norm = np.linalg.norm(upd)

@@ -113,9 +113,9 @@ def test_criterion_5_sybil_resistance():
         vecs = [coalition.copy() for _ in range(s_size)] + [
             rng.standard_normal(20) for _ in range(c - s_size)]
         for k_vote in (1, 2, 3):
-            votes = cluster_votes(np.ones((1, c), dtype=np.uint8), vecs, k_vote)
+            votes = cluster_votes(np.ones((1, c), dtype=np.uint8), np.array(vecs), k_vote)
             votes_solo = cluster_votes(np.ones((1, c - s_size + 1), dtype=np.uint8),
-                                       [vecs[0]] + vecs[s_size:], k_vote)
+                                       np.array([vecs[0]] + vecs[s_size:]), k_vote)
             intra = int(votes[0]) - int(votes_solo[0])
             cap_ok = intra <= s_size * min(k_vote, s_size - 1)
             ok = ok and cap_ok
@@ -230,19 +230,19 @@ def test_criterion_8_numerical_core():
         mat = np.stack(ups)
         med = np.sort(mat, axis=0)
         mid = med[(n - 1) // 2] if n % 2 else (med[n // 2 - 1] + med[n // 2]) / 2
-        ok = ok and np.array_equal(coordinate_median(ups), mid)
+        ok = ok and np.array_equal(coordinate_median(mat), mid)
         if n > 2 * f:
             # with f=0 nothing is trimmed and the definition is the plain mean
             trim_expect = mat.mean(axis=0) if f == 0 else (
                 np.sort(mat, axis=0)[f:n - f]).mean(axis=0)
-            ok = ok and np.array_equal(trimmed_mean(ups, f), trim_expect)
+            ok = ok and np.array_equal(trimmed_mean(mat, f), trim_expect)
         if n >= 2 * f + 3:
             scores = []
             for i in range(n):
                 d = sorted(float(np.sum((ups[i] - ups[j]) ** 2)) for j in range(n) if j != i)
                 scores.append(sum(d[: n - f - 2]))
-            ok = ok and np.array_equal(krum(ups, f), ups[int(np.argmin(scores))])
-        ok = ok and np.allclose(fedavg(ups), mat.mean(axis=0), atol=1e-12)
+            ok = ok and np.array_equal(krum(mat, f), ups[int(np.argmin(scores))])
+        ok = ok and np.allclose(fedavg(mat), mat.mean(axis=0), atol=1e-12)
 
     # softmax trust sums to one in every recorded defense round
     for res in defense_runs():

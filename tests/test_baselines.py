@@ -44,15 +44,15 @@ def test_spec_validation():
 
 def test_fedavg_identity_and_cancellation():
     u = np.arange(5.0)
-    assert np.array_equal(fedavg([u]), u)
-    assert np.allclose(fedavg([u, -u]), 0.0, atol=1e-15)
+    assert np.array_equal(fedavg(np.stack([u])), u)
+    assert np.allclose(fedavg(np.stack([u, -u])), 0.0, atol=1e-15)
 
 
 def test_fedavg_matches_mean_oracle():
     rng = np.random.default_rng(0)
     ups = rand_updates(rng, 5)
     naive = sum(ups) / 5
-    assert np.max(np.abs(fedavg(ups) - naive)) < 1e-12
+    assert np.max(np.abs(fedavg(np.stack(ups)) - naive)) < 1e-12
 
 
 def test_krum_excludes_outlier():
@@ -60,13 +60,13 @@ def test_krum_excludes_outlier():
     center = rng.standard_normal(8)
     group = [center + 1e-3 * rng.standard_normal(8) for _ in range(4)]
     outlier = center + 100.0
-    out = krum(group + [outlier], f=1)
+    out = krum(np.stack(group + [outlier]), f=1)
     assert any(np.array_equal(out, g) for g in group)
 
 
 def test_krum_tie_returns_lowest_index():
     ups = [np.ones(4)] * 5
-    assert np.array_equal(krum(ups, f=1), ups[0])
+    assert np.array_equal(krum(np.stack(ups), f=1), ups[0])
 
 
 def test_krum_matches_exhaustive_oracle():
@@ -80,7 +80,7 @@ def test_krum_matches_exhaustive_oracle():
         dists = sorted(np.sum((ups[i] - ups[j]) ** 2) for j in range(n) if j != i)
         scores.append(sum(dists[: n - f - 2]))
     expected = ups[int(np.argmin(scores))]
-    assert np.array_equal(krum(ups, f), expected)
+    assert np.array_equal(krum(np.stack(ups), f), expected)
 
 
 def broadcast_krum(updates, f):
@@ -128,8 +128,7 @@ def test_krum_bit_identical_to_broadcast_property(f, extra, d, seed, dups, sprea
     mat += offset * rng.standard_normal(d)
     for _ in range(dups):  # exact copies tie on distance, as sybils do
         mat[rng.integers(n)] = mat[rng.integers(n)]
-    ups = list(mat)
-    assert krum(ups, f).tobytes() == broadcast_krum(ups, f).tobytes()
+    assert krum(mat, f).tobytes() == broadcast_krum(list(mat), f).tobytes()
 
 
 def exact_scores(mat, f):
@@ -175,7 +174,7 @@ def test_krum_screen_keeps_every_row_when_the_squares_overflow(f, extra, d, seed
     scores, bound = baselines._gram_screen(mat, f)
     assert not (scores - bound > np.min(scores + bound)).any()
     with np.errstate(over="ignore"):
-        assert krum(list(mat), f).tobytes() == broadcast_krum(list(mat), f).tobytes()
+        assert krum(mat, f).tobytes() == broadcast_krum(list(mat), f).tobytes()
 
 
 def test_krum_golden_digests_at_one_and_two_blas_threads():
@@ -194,7 +193,7 @@ def test_krum_golden_digests_at_one_and_two_blas_threads():
 
 
 def test_krum_memory_is_linear_in_n():
-    ups = list(np.random.default_rng(3).standard_normal((100, 2762)))
+    ups = np.random.default_rng(3).standard_normal((100, 2762))
     tracemalloc.start()
     try:
         krum(ups, f=2)
@@ -213,14 +212,14 @@ def test_krum_population_check():
     SimConfig(n_clients=35, shards=35, aggregator="krum", agg_f=2)
     honest = np.array([0.5, -1.0, 2.0])
     ups = [np.full(3, -40.0), *[honest.copy() for _ in range(5)], np.full(3, 40.0)]
-    assert np.array_equal(krum(ups, f=2), honest)
+    assert np.array_equal(krum(np.stack(ups), f=2), honest)
 
 
 def test_median_small_cases():
     ups = [np.array([1.0, 5.0]), np.array([2.0, -1.0]), np.array([3.0, 100.0])]
-    assert np.array_equal(coordinate_median(ups), np.array([2.0, 5.0]))
+    assert np.array_equal(coordinate_median(np.stack(ups)), np.array([2.0, 5.0]))
     outliers = [np.zeros(3), np.zeros(3), np.full(3, 100.0)]
-    assert np.array_equal(coordinate_median(outliers), np.zeros(3))
+    assert np.array_equal(coordinate_median(np.stack(outliers)), np.zeros(3))
 
 
 def test_median_matches_sort_oracle():
@@ -228,18 +227,18 @@ def test_median_matches_sort_oracle():
     ups = rand_updates(rng, 6)
     mat = np.stack(ups)
     expected = np.sort(mat, axis=0)[2:4].mean(axis=0)
-    assert np.max(np.abs(coordinate_median(ups) - expected)) < 1e-15
+    assert np.max(np.abs(coordinate_median(np.stack(ups)) - expected)) < 1e-15
 
 
 def test_trim_zero_equals_fedavg():
     rng = np.random.default_rng(4)
-    ups = rand_updates(rng, 5)
+    ups = np.stack(rand_updates(rng, 5))
     assert np.array_equal(trimmed_mean(ups, f=0), fedavg(ups))
 
 
 def test_trim_to_median_identity():
     rng = np.random.default_rng(5)
-    ups = rand_updates(rng, 5)
+    ups = np.stack(rand_updates(rng, 5))
     assert np.allclose(trimmed_mean(ups, f=2), coordinate_median(ups), atol=1e-15)
 
 
@@ -248,23 +247,23 @@ def test_trim_matches_sort_drop_oracle():
     ups = rand_updates(rng, 10)
     f = 3
     expected = np.sort(np.stack(ups), axis=0)[f:-f].mean(axis=0)
-    assert np.max(np.abs(trimmed_mean(ups, f) - expected)) < 1e-15
+    assert np.max(np.abs(trimmed_mean(np.stack(ups), f) - expected)) < 1e-15
 
 
 def test_fltrust_aligned_client_passthrough():
     server = np.array([1.0, 2.0, 0.5])
-    assert np.allclose(fltrust([server.copy()], server), server, atol=1e-12)
+    assert np.allclose(fltrust(np.stack([server.copy()]), server), server, atol=1e-12)
 
 
 def test_fltrust_opposed_client_excluded():
     server = np.array([1.0, 0.0])
     aligned = np.array([2.0, 0.0])
     opposed = np.array([-3.0, 0.0])
-    out = fltrust([aligned, opposed], server)
+    out = fltrust(np.stack([aligned, opposed]), server)
     # only the aligned client contributes, rescaled to the server norm
     assert np.allclose(out, server, atol=1e-12)
     # all clients opposed: fall back to the server update
-    assert np.allclose(fltrust([opposed], server), server, atol=1e-12)
+    assert np.allclose(fltrust(np.stack([opposed]), server), server, atol=1e-12)
 
 
 def test_fltrust_matches_step_by_step_oracle():
@@ -278,14 +277,14 @@ def test_fltrust_matches_step_by_step_oracle():
         ts.append(max(cos, 0.0))
         rescaled.append(u * (s_norm / np.linalg.norm(u)))
     expected = sum(t * r for t, r in zip(ts, rescaled)) / sum(ts)
-    assert np.max(np.abs(fltrust(ups, server) - expected)) < 1e-10
+    assert np.max(np.abs(fltrust(np.stack(ups), server) - expected)) < 1e-10
 
 
 def test_permutation_invariance():
     rng = np.random.default_rng(8)
     ups = rand_updates(rng, 6)
     perm = [3, 1, 5, 0, 4, 2]
-    shuffled = [ups[i] for i in perm]
+    ups, shuffled = np.stack(ups), np.stack([ups[i] for i in perm])
     assert np.allclose(fedavg(ups), fedavg(shuffled), atol=1e-12)
     assert np.allclose(coordinate_median(ups), coordinate_median(shuffled), atol=1e-15)
     assert np.allclose(trimmed_mean(ups, 2), trimmed_mean(shuffled, 2), atol=1e-15)
@@ -297,7 +296,7 @@ def test_robustness_smoke():
     rng = np.random.default_rng(9)
     honest = [rng.standard_normal(10) for _ in range(7)]
     outliers = [np.full(10, 100.0) for _ in range(3)]
-    ups = honest + outliers
+    ups = np.stack(honest + outliers)
     honest_mean = np.mean(honest, axis=0)
     for robust in (coordinate_median(ups), trimmed_mean(ups, 3), krum(ups, 3)):
         assert np.linalg.norm(robust - honest_mean) < 3 * np.sqrt(10)

@@ -1,9 +1,12 @@
 """SimConfig is the one value check: no module below it raises ConfigError.
 
-The layers under the config assume a valid SimConfig and check only array
-shapes (ShapeError) and training failures (TrainingError). The two
-exceptions depend on the partition and so can only be checked once the data
-exists: a client that holds no records, and the attackers' pool size.
+The layers under the config assume a valid SimConfig. Two value checks
+depend on the partition and so can only be made once the data exists: a
+client that holds no records, and the attackers' pool size. Arrays are
+checked only where they are built: a `LabeledDataset`, a `ModelParams` and
+each `sgd_train` stack raise ShapeError, and so does `class_indicator` for a
+non-finite block of client-sent values. Every other kernel takes the round's
+arrays as built; training failures raise TrainingError.
 
 Every choice string that the code compares with a choice field is one of
 that field's declared `Literal` choices, so a misspelt choice cannot name a
@@ -33,16 +36,16 @@ BOUNDARY = {"config.py", "cli.py"}
 SETUP_CHECKS = {("harness.py", "run_experiment"), ("harness.py", "_build_attack_pools")}
 
 
-def config_error_raises(source: str) -> list:
-    """Dotted name of the enclosing function or class of each `raise ConfigError`."""
+def config_error_raises(source: str, name: str = "ConfigError") -> list:
+    """Dotted name of the enclosing function or class of each `raise <name>`."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Raise) and child.exc is not None:
                 exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
-                if name == "ConfigError":
+                raised = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                if raised == name:
                     found.append(".".join(scope) or "<module>")
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, scope + [child.name] if named else scope)
@@ -64,8 +67,12 @@ def test_config_error_raises_finds_every_raise():
         "def shapes():\n"
         "    raise ValueError('not a config error')\n"
         "raise ConfigError('at import')\n"
+        "def built(x):\n"
+        "    raise errors.ShapeError(x)\n"
     )
     assert config_error_raises(source) == ["check", "Ledger.__post_init__", "<module>"]
+    assert config_error_raises(source, "ShapeError") == ["built"]
+    assert config_error_raises(source, "ValueError") == ["shapes"]
 
 
 def test_only_the_config_boundary_raises_config_error():
@@ -74,6 +81,23 @@ def test_only_the_config_boundary_raises_config_error():
               for where in config_error_raises(path.read_text())}
     assert {name for name, _ in raises} >= BOUNDARY
     assert {(name, where) for name, where in raises if name not in BOUNDARY} == SETUP_CHECKS
+
+
+# where arrays are built: a dataset, a model, a training stack, and the indicator
+# block read from client-sent values, which must be finite
+SHAPE_CHECKS = {
+    ("data.py", "LabeledDataset.__post_init__"),
+    ("model.py", "ModelParams.__post_init__"),
+    ("model.py", "sgd_train"),
+    ("inference.py", "class_indicator"),
+}
+
+
+def test_only_where_arrays_are_built_raises_shape_error():
+    raises = {(path.name, where)
+              for path in sorted(SRC.glob("*.py"))
+              for where in config_error_raises(path.read_text(), "ShapeError")}
+    assert raises == SHAPE_CHECKS
 
 
 # the one caller of each training kernel

@@ -297,6 +297,10 @@ NAN, INF = float("nan"), float("inf")
     (dict(selection_ratio=0.02), "^selection_ratio must select at least two clients per round$"),
     (dict(lr_client=0.0), "^lr_client must be > 0$"),
     (dict(lr_server=-0.5), "^lr_server must be > 0$"),
+    # an int too large for a float used to end in a bare OverflowError
+    (dict(rounds=10**400), "^rounds must be finite$"),
+    (dict(lr_client=10**400), "^lr_client must be finite$"),
+    (dict(hidden_dims=(64, 10**400)), "^hidden_dims must be finite$"),
 ])
 def test_config_errors_name_the_field(kw, message):
     # each of these used to pass SimConfig and fail late, name another

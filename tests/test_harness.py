@@ -606,6 +606,7 @@ def test_cli_zero_batch_size_is_one_config_error(tmp_path, capsys):
     # sweep values are stripped before the empty-item and repeat checks
     (["sweep", "--param", "noniid_p", "--values", " , "], "--values names no value"),
     (["sweep", "--param", "noniid_p", "--values", "0.5, 0.5"], "--values"),
+    (["run", "--override", "rounds=" + "1" * 401], "rounds must be finite"),  # no float holds it
 ])
 def test_cli_bad_arguments_are_one_config_error(tmp_path, capsys, monkeypatch, argv, flag):
     # a seed sweep used to run the config's own seed under every label

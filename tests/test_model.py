@@ -121,12 +121,6 @@ def test_forward_matches_naive_oracle():
     assert np.max(np.abs(pen - hidden)) < 1e-10
 
 
-def test_forward_shape_error():
-    model = init_model([32, 64, 10], seed=7)
-    with pytest.raises(ShapeError):
-        forward(model, np.zeros((2, 31)))
-
-
 def test_perfect_prediction_zero_loss_and_logit_grad():
     # enormous bias margin makes softmax exactly one-hot in float64
     shapes = [(4, 3)]
