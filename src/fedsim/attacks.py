@@ -1,22 +1,23 @@
 """Backdoor client behaviors: basic, alternate, distributed-trigger, sybil, adaptive.
 
-Every attack trains K attackers whose clean sets share one size as one
-stack and returns (K, d): row k is byte for byte attacker k's update trained
-alone, left unchecked for the caller to name. Each degenerates to honest
-training when its knobs are neutral (no poison, boost 1, pull 0), byte for
-byte under equal seeds. The alternate family interleaves poison epochs with
-clean epochs that pull the weights toward a benign-looking update; the
+Every attack trains K attackers whose clean sets share one size as one stack
+and returns (K, d): row k is byte for byte attacker k's update trained alone,
+left unchecked for the caller to name. The round loop hands over each
+attacker's clean and poisoned sets; the functions here only train. Each
+degenerates to honest training when its knobs are neutral (no poison, boost
+1, pull 0), byte for byte under equal seeds. The alternate family interleaves
+poison epochs with clean epochs pulled toward a benign-looking update; the
 adaptive variant additionally forges each update's class-sufficiency claim.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from .config import SimConfig
-from .data import LabeledDataset, TriggerPattern, concat_datasets, stack_datasets
+from .data import LabeledDataset, TriggerPattern, stack_datasets
 from .inference import class_indicator, recover_last_layer_gradient
 from .model import ModelParams, Shapes, last_layer_weight_block, local_train, sgd_train
 
@@ -43,32 +44,24 @@ def make_poison_pool(base: LabeledDataset, trig: TriggerPattern) -> LabeledDatas
     )
 
 
-def _training_stack(cleans: Sequence[LabeledDataset], pools: Sequence[LabeledDataset],
-                    count: int) -> Tuple[np.ndarray, np.ndarray]:
-    return stack_datasets([concat_datasets([clean, pool.subset(np.arange(count))])
-                           for clean, pool in zip(cleans, pools)])
-
-
 def basic_attack(
     global_params: ModelParams,
-    cleans: Sequence[LabeledDataset],
-    pools: Sequence[LabeledDataset],
+    poisoned: Sequence[LabeledDataset],
     cfg: SimConfig,
     seeds: Sequence[int],
 ) -> np.ndarray:
-    """Plain data poisoning: honest SGD over each attacker's clean + triggered records.
+    """Plain data poisoning: honest SGD over each attacker's poisoned set.
 
     Attacker k trains with a generator seeded by seeds[k].
     """
-    return sgd_train(global_params, *_training_stack(cleans, pools, cfg.poison_count),
-                     cfg.epochs, cfg.lr_client, cfg.batch_size,
-                     [np.random.default_rng(seed) for seed in seeds])
+    return sgd_train(global_params, *stack_datasets(poisoned), cfg.epochs, cfg.lr_client,
+                     cfg.batch_size, [np.random.default_rng(seed) for seed in seeds])
 
 
 def alternate_attack(
     global_params: ModelParams,
     cleans: Sequence[LabeledDataset],
-    pools: Sequence[LabeledDataset],
+    poisoned: Sequence[LabeledDataset],
     anchors: np.ndarray,
     cfg: SimConfig,
     seeds: Sequence[int],
@@ -76,13 +69,13 @@ def alternate_attack(
     """Alternate poison epochs with stealth epochs, then boost the updates.
 
     Each epoch is one `sgd_train` call that resumes the last one's delta; attacker k draws
-    from a generator seeded by seeds[k]. Even epochs train on clean + poison. Odd epochs
+    from a generator seeded by seeds[k]. Even epochs train on the poisoned sets, odd epochs
     train on clean data with each step pulled toward row k of the (K, d) benign `anchors` by
     min(2*lr*rho, 1) * (theta - anchor); the clip keeps the pull stable for any rho, and as
     rho grows the update converges to the anchor. The finished delta is scaled by the boost.
     """
     clean = stack_datasets(cleans)
-    mixed = _training_stack(cleans, pools, cfg.poison_count)
+    mixed = stack_datasets(poisoned)
     pull = min(2.0 * cfg.lr_client * cfg.stealth_rho, 1.0)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     delta = None
@@ -112,7 +105,7 @@ def forge_full_claim(delta: np.ndarray, shapes: Shapes, cfg: SimConfig) -> np.nd
     why clustering caps the forger's memberships like anyone else's.
     """
     lr = cfg.lr_client
-    delta = np.asarray(delta, dtype=np.float64).copy()
+    delta = delta.copy()
     u = class_indicator(recover_last_layer_gradient(delta, shapes, lr))
     if cfg.threshold_mode == "absolute":
         target = cfg.beta
@@ -129,13 +122,13 @@ def forge_full_claim(delta: np.ndarray, shapes: Shapes, cfg: SimConfig) -> np.nd
 def adaptive_attack(
     global_params: ModelParams,
     cleans: Sequence[LabeledDataset],
-    pools: Sequence[LabeledDataset],
+    poisoned: Sequence[LabeledDataset],
     anchors: np.ndarray,
     cfg: SimConfig,
     seeds: Sequence[int],
 ) -> np.ndarray:
     """Alternate attack whose finite updates also forge a full-class claim, each its own."""
-    rows = alternate_attack(global_params, cleans, pools, anchors, cfg, seeds)
+    rows = alternate_attack(global_params, cleans, poisoned, anchors, cfg, seeds)
     for k in np.flatnonzero(np.isfinite(rows).all(axis=1)):
         rows[k] = forge_full_claim(rows[k], global_params.shapes, cfg)
     return rows

@@ -62,8 +62,8 @@ class TriggerPattern:
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Copy of `samples` with the trigger values written in place."""
-        out = np.array(samples, dtype=np.float64, copy=True)
-        out[:, list(self.indices)] = list(self.values)
+        out = samples.copy()
+        out[:, self.indices] = self.values
         return out
 
     def part(self, parts: int, index: int) -> "TriggerPattern":

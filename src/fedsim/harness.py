@@ -213,12 +213,12 @@ def _build_attack_pools(
     trigger: TriggerPattern,
     partitions: Sequence[LabeledDataset],
 ) -> Dict[int, LabeledDataset]:
-    """Each attacker's poison pool, keyed by client id.
+    """Each attacker's poison pool, keyed by client id: the triggered records it trains on.
 
-    All malicious clients poison from one fixed pool of base records drawn
-    from their combined clean data. For the distributed trigger each
-    attacker gets the pool stamped with only its own trigger slice; the
-    part index cycles over attackers in id order.
+    All malicious clients poison from one fixed set of base records drawn from their
+    combined clean data: the first poison_count of a shuffled draw of pool_size. For the
+    distributed trigger each attacker gets them stamped with only its own trigger slice;
+    the part index cycles over attackers in id order.
     """
     mal = cfg.malicious_ids
     base_union = concat_datasets([partitions[cid] for cid in mal])
@@ -227,7 +227,8 @@ def _build_attack_pools(
         raise ConfigError(f"poison_count {cfg.poison_count} exceeds the attackers' "
                           f"pool of {pool_size} records")
     rng = np.random.default_rng([cfg.seed, _POOL])
-    base = base_union.subset(rng.choice(base_union.size, size=pool_size, replace=False))
+    drawn = rng.choice(base_union.size, size=pool_size, replace=False)
+    base = base_union.subset(drawn[:cfg.poison_count])
     if cfg.attack == "dba":
         pools = [attacks.make_poison_pool(base, trigger.part(cfg.dba_parts, k))
                  for k in range(cfg.dba_parts)]
@@ -297,16 +298,16 @@ class _Clients:
         if kind == "local":
             return local_train(theta, cleans[0], cfg.epochs, cfg.lr_client, cfg.batch_size,
                                seeds[0])
-        pools = [self.pools[cid] for cid in ids]
+        poisoned = [concat_datasets([clean, self.pools[cid]]) for clean, cid in zip(cleans, ids)]
         if kind == "basic":
-            return attacks.basic_attack(theta, cleans, pools, cfg, seeds)
+            return attacks.basic_attack(theta, poisoned, cfg, seeds)
         # the alternate family: each attacker is anchored on its own honest update
         benign = [np.random.default_rng(derive_seed(cfg.seed, _BENIGN, t, cid)) for cid in ids]
         anchors = _finite_rows(sgd_train(theta, *stack_datasets(cleans), cfg.epochs,
                                          cfg.lr_client, cfg.batch_size, benign), ids, t)
         if kind == "adaptive":
-            return attacks.adaptive_attack(theta, cleans, pools, anchors, cfg, seeds)
-        return attacks.alternate_attack(theta, cleans, pools, anchors, cfg, seeds)
+            return attacks.adaptive_attack(theta, cleans, poisoned, anchors, cfg, seeds)
+        return attacks.alternate_attack(theta, cleans, poisoned, anchors, cfg, seeds)
 
 
 def _finite_rows(rows: np.ndarray, ids: Sequence[int], t: int) -> np.ndarray:
@@ -349,7 +350,7 @@ class ClusterVote:
         self.indicator_sum = np.zeros((cfg.n_clients, cfg.num_classes))
         self.indicator_obs = np.zeros(cfg.n_clients, dtype=np.int64)
 
-    def observe(self, selected: Sequence[int], indicators: np.ndarray) -> np.ndarray:
+    def observe(self, selected: np.ndarray, indicators: np.ndarray) -> np.ndarray:
         """Fold one round's indicators, row i for selected[i], into the running estimates.
 
         Raw sums weight observations by their gradient scale, so the
@@ -360,7 +361,6 @@ class ClusterVote:
         absolute mode gets the per-observation mean since its threshold
         carries units. Returns the selected clients' estimates, one row each.
         """
-        selected = np.asarray(selected)
         fresh = self.indicator_obs[selected] < self.cfg.indicator_obs_cap
         self.indicator_sum[selected[fresh]] += indicators[fresh]
         self.indicator_obs[selected[fresh]] += 1
@@ -371,11 +371,12 @@ class ClusterVote:
     def __call__(self, theta: ModelParams, U: np.ndarray,
                  selected: List[int], t: int) -> Tuple[np.ndarray, RoundRecord]:
         cfg = self.cfg
+        ids = np.asarray(selected)
         indicators = inference.class_indicator(
             inference.recover_last_layer_gradient(U, theta.shapes, cfg.lr_client))
-        smoothed = self.observe(selected, indicators)
+        smoothed = self.observe(ids, indicators)
         A_hat = inference.infer_column(smoothed, cfg.threshold_mode, cfg.beta).T
-        inf_acc = inference.distribution_accuracy(self.ground_truth[:, selected], A_hat)
+        inf_acc = inference.distribution_accuracy(self.ground_truth[:, ids], A_hat)
 
         per_client, per_cluster = clustering.compute_thresholds(A_hat)
         x = clustering.greedy_cluster(A_hat, (per_client, per_cluster))
@@ -389,14 +390,13 @@ class ClusterVote:
             votes += trust.cluster_votes(x, reps, k_vote)
 
         # the discard reads last round's trust, which update() then overwrites
-        discard = trust.median_discard(self.ledger.immediate, selected)
-        accumulated = self.ledger.update(selected, votes)
+        discard = trust.median_discard(self.ledger.immediate, ids)
+        accumulated = self.ledger.update(ids, votes)
         kept = ~discard
         sign = -1.0 if cfg.strict_paper_sign else 1.0
         step = sign * cfg.lr_server * trust.aggregate(U[kept], accumulated[kept])
 
         sizes, memberships = clustering.membership_histograms(x)
-        ids = np.asarray(selected)
         mal = np.isin(ids, cfg.malicious_ids)
         record = RoundRecord(
             round=t,

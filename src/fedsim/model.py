@@ -209,10 +209,10 @@ def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray, epochs: int, lr
     generator per model; row k of the delta is byte for byte the update of its k-th dataset
     alone with the k-th generator. Data that fit in one batch draw nothing, so `rng` may then
     be None. After each step a positive `pull` moves the delta that fraction of the way to
-    `anchor`. A `delta` that an earlier call returned resumes that training on a copy: theta
-    starts at params + delta, as its last step wrote it. The stack is checked here, once per
-    call and before the first step, so `loss_and_grad` and `epoch_batches` check nothing; the
-    finiteness check is left to the caller, which knows whom to name.
+    `anchor`. Theta starts at params + delta, where delta is zero or, resuming an earlier call,
+    a copy of the delta it returned. The stack is checked here, once per call and before the
+    first step, so `loss_and_grad` and `epoch_batches` check nothing; the finiteness check is
+    left to the caller, which knows whom to name.
     """
     if x.ndim != 3 or y.shape != x.shape[:2]:
         raise ShapeError(f"a training stack is (K, n, width) inputs with (K, n) labels, "
@@ -230,12 +230,8 @@ def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray, epochs: int, lr
         if count != k:
             raise ShapeError(f"a stack of {k} models trains with one generator per model, "
                              f"not {count}")
-    if delta is None:
-        theta = ModelParams(np.tile(params.flat, (k, 1)), params.shapes)
-        delta = np.zeros(theta.flat.shape)
-    else:
-        theta = ModelParams(params.flat + delta, params.shapes)
-        delta = delta.copy()
+    delta = np.zeros((k, params.dim)) if delta is None else delta.copy()
+    theta = ModelParams(params.flat + delta, params.shapes)
     for _ in range(epochs):
         for idx in epoch_batches(n, batch_size, rng):
             grad = loss_and_grad(theta, x[idx], y[idx])[1]
@@ -273,4 +269,4 @@ def representation(params: ModelParams, aux: LabeledDataset) -> np.ndarray:
 
 def last_layer_weight_block(flat: np.ndarray, shapes: Sequence[Tuple[int, int]]) -> np.ndarray:
     """View of the final layer's weight matrix inside a flat vector."""
-    return ModelParams(flat, shapes).layers()[-1][0]
+    return _layer_views(flat, shapes)[-1][0]

@@ -31,14 +31,12 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def similarity_matrix(vectors: np.ndarray) -> np.ndarray:
-    """Pairwise cosine matrix of the rows of a (k, h) array, one row per client."""
+    """Pairwise cosine matrix of the rows of a (k, h) array, one row per client; diagonal 1."""
     k = len(vectors)
     S = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
             S[i, j] = S[j, i] = cosine_similarity(vectors[i], vectors[j])
-        if np.linalg.norm(vectors[i]) < ZERO_NORM_EPS:
-            S[i, i] = 0.0
     return S
 
 
@@ -95,7 +93,6 @@ class TrustLedger:
         The sum is positive: softmax's largest entry is 1/sum(exp(K - max K)).
         `immediate` is overwritten in place, so a discard must read it first.
         """
-        selected = np.asarray(selected, dtype=np.int64)
         T_now = softmax(np.asarray(K_selected, dtype=np.float64))
         self.immediate.fill(np.nan)
         self.immediate[selected] = T_now
@@ -113,7 +110,7 @@ def median_discard(prev_immediate: np.ndarray, selected: Sequence[int]) -> np.nd
     last = prev_immediate[~np.isnan(prev_immediate)]
     if last.size == 0:
         return np.zeros(len(selected), dtype=bool)
-    return prev_immediate[np.asarray(selected, dtype=np.int64)] < np.median(last)
+    return prev_immediate[selected] < np.median(last)
 
 
 def aggregate(updates: np.ndarray, trust: np.ndarray) -> np.ndarray:

@@ -48,9 +48,15 @@ def knobs(**kw):
     return SimConfig(**{"epochs": 4, "lr_client": 0.05, "batch_size": 16, **kw})
 
 
+def poison(clean, pool, cfg):
+    """The poisoned set the round loop hands an attacker: its clean data plus the first
+    poison_count pool records."""
+    return concat_datasets([clean, pool.subset(np.arange(cfg.poison_count))])
+
+
 def alone(attack, model, clean, pool, benign, cfg, seed):
     """One attacker's update: the one row of a stack of one."""
-    rows = attack(model, [clean], [pool], benign[None], cfg, [seed])
+    rows = attack(model, [clean], [poison(clean, pool, cfg)], benign[None], cfg, [seed])
     assert rows.shape == (1, model.dim)
     return rows[0]
 
@@ -95,7 +101,7 @@ def test_basic_degenerates_to_honest(setup, seed, per_class, epochs, batch_size,
     means = class_means(M, R_IN, seed=4)
     cleans = [gen_dataset(M, R_IN, per_class, seed=per_class + j, means=means) for j in range(k)]
     seeds = [(seed + j) % 2**32 for j in range(k)]
-    attack = basic_attack(model, cleans, [pool] * k, cfg, seeds)
+    attack = basic_attack(model, [poison(clean, pool, cfg) for clean in cleans], cfg, seeds)
     assert attack.shape == (k, model.dim)
     for row, clean, s in zip(attack, cleans, seeds):
         assert row.tobytes() == local_train(model, clean, epochs, cfg.lr_client, batch_size,
@@ -111,7 +117,8 @@ def test_alternate_degenerates_to_honest(setup, seed, per_class, epochs, batch_s
     cleans = [gen_dataset(M, R_IN, per_class, seed=per_class + j, means=means) for j in range(k)]
     seeds = [(seed + j) % 2**32 for j in range(k)]
     anchors = np.stack([honest_update(model, clean, seed=77) for clean in cleans])  # zero pull
-    attack = alternate_attack(model, cleans, [pool] * k, anchors, cfg, seeds)
+    poisoned = [poison(clean, pool, cfg) for clean in cleans]
+    attack = alternate_attack(model, cleans, poisoned, anchors, cfg, seeds)
     assert attack.shape == (k, model.dim)
     for row, clean, s in zip(attack, cleans, seeds):
         assert row.tobytes() == local_train(model, clean, epochs, cfg.lr_client, batch_size,
@@ -155,8 +162,9 @@ def test_alternate_family_equals_the_written_out_loop(setup, k, seed, per_class,
     seeds = [(seed + j) % 2**32 for j in range(k)]
     cfg = knobs(poison_count=poison_count, stealth_rho=stealth_rho, boost=boost, epochs=epochs,
                 batch_size=batch_size)
-    rows = alternate_attack(model, cleans, pools, anchors, cfg, seeds)
-    forged = adaptive_attack(model, cleans, pools, anchors, cfg, seeds)
+    poisoned = [poison(clean, pool, cfg) for clean, pool in zip(cleans, pools)]
+    rows = alternate_attack(model, cleans, poisoned, anchors, cfg, seeds)
+    forged = adaptive_attack(model, cleans, poisoned, anchors, cfg, seeds)
     assert rows.shape == forged.shape == (k, model.dim)
     for j in range(k):
         expected = written_out_alternate(model, cleans[j], pools[j], anchors[j], cfg, seeds[j])
@@ -170,8 +178,8 @@ def test_dba_part_one_equals_basic(setup):
     clean, base, pool, model = setup
     part_pool = make_poison_pool(base, TRIG.part(1, 0))
     cfg = knobs(poison_count=20, epochs=2)
-    via_dba = basic_attack(model, [clean], [part_pool], cfg, [5])
-    via_basic = basic_attack(model, [clean], [pool], cfg, [5])
+    via_dba = basic_attack(model, [poison(clean, part_pool, cfg)], cfg, [5])
+    via_basic = basic_attack(model, [poison(clean, pool, cfg)], cfg, [5])
     assert np.array_equal(via_dba, via_basic)
 
 
@@ -180,7 +188,7 @@ def test_dba_parts_use_sub_patterns(setup):
     clean, base, _, model = setup
     cfg = knobs(poison_count=10, epochs=1, batch_size=64)
     pools = [make_poison_pool(base, TRIG.part(2, k)) for k in range(2)]
-    a, b = basic_attack(model, [clean, clean], pools, cfg, [5, 5])
+    a, b = basic_attack(model, [poison(clean, pool, cfg) for pool in pools], cfg, [5, 5])
     assert np.any(a != b)
 
 

@@ -16,7 +16,9 @@ The same AST walk holds plain SGD to one trainer: only `model.sgd_train`
 cuts batches, takes gradients and takes steps, the alternate family's epochs
 included, and it checks each call's stack once, so the kernels it calls raise
 nothing. Only `_Clients._train` dispatches to an attack, and only the round
-loop's `_finite_rows` checks a stack's rows for finiteness. It also keeps
+loop's `_finite_rows` checks a stack's rows for finiteness. The round loop
+also owns each attacker's training data: only it and the config read
+`poison_count`, and the attacks take poisoned sets, never a pool. It also keeps
 aggregation on plain arrays: only the model, the attacks and the round loop
 name `ModelParams`, so trust, the baselines, clustering and inference take
 and return ndarrays.
@@ -253,6 +255,19 @@ def test_only_the_model_attacks_and_round_loop_name_model_params():
     holders = {path.name for path in sorted(SRC.glob("*.py"))
                if lines_naming(path.read_text(), "ModelParams")}
     assert holders == MODEL_HOLDERS
+
+
+# the attacker data recipe has one owner: the round loop cuts each pool to poison_count
+# records and hands every attack its poisoned sets, so the attacks only train
+POISON_COUNT_READERS = {"config.py", "harness.py"}
+
+
+def test_only_the_config_and_the_round_loop_read_poison_count():
+    readers = {path.name for path in sorted(SRC.glob("*.py"))
+               if lines_naming(path.read_text(), "poison_count")}
+    assert readers == POISON_COUNT_READERS
+    attacks = (SRC / "attacks.py").read_text()
+    assert lines_naming(attacks, "pool") == lines_naming(attacks, "pools") == []
 
 
 # the config fields whose values are declared choices

@@ -295,21 +295,34 @@ def attack_clients(sizes, attack, num_malicious, **kw):
     return harness._Clients(cfg, parts, trigger), theta
 
 
+@pytest.mark.parametrize("attack", ["basic", "dba", "alternate"])
+def test_each_pool_holds_exactly_the_records_its_attacker_trains_on(attack):
+    # pool_size = 60 base records are drawn, and only the first poison_count = 20 are stamped
+    clients, _ = attack_clients([30, 12, 30, 12, 30, 10, 10, 40], attack, 5, batch_size=16)
+    cfg = clients.cfg
+    assert sorted(clients.pools) == list(cfg.malicious_ids)
+    for pool in clients.pools.values():
+        assert pool.size == cfg.poison_count
+        assert np.all(pool.labels == cfg.trigger_target)
+
+
 @pytest.mark.parametrize("attack", ["basic", "dba", "alternate", "adaptive"])
 def test_poisoners_train_as_one_stack_per_clean_size(monkeypatch, attack):
     from fedsim import attacks
     # attackers 0, 2 and 4 hold 30 records, 1 and 3 hold 12; each trains beyond one batch
+    # on its clean data plus poison_count = 20 triggered records
     clients, theta = attack_clients([30, 12, 30, 12, 30, 10, 10, 40], attack, 5, batch_size=16)
     calls = []
     name = "basic_attack" if attack == "dba" else f"{attack}_attack"
     orig = getattr(attacks, name)
-    def spy(params, cleans, *args):
-        calls.append([clean.size for clean in cleans])
-        return orig(params, cleans, *args)
+    def spy(params, *args):
+        poisoned = args[0] if name == "basic_attack" else args[1]
+        calls.append([data.size for data in poisoned])
+        return orig(params, *args)
     monkeypatch.setattr(attacks, name, spy)
     for t in range(2):
         clients.updates(theta, list(range(8)), t)
-    assert calls == [[30, 30, 30], [12, 12]] * 2
+    assert calls == [[50, 50, 50], [32, 32]] * 2
 
 
 def test_non_finite_poisoner_row_names_its_own_client(monkeypatch):
@@ -427,7 +440,9 @@ def test_update_matrix_rows_are_each_clients_own_update(attack, t, seed):
         benign = local_train(theta, parts[cid], cfg.epochs, cfg.lr_client, cfg.batch_size,
                              harness.derive_seed(cfg.seed, harness._BENIGN, t, cid))
         kind = attacks.adaptive_attack if attack == "adaptive" else attacks.alternate_attack
-        [row] = kind(theta, [parts[cid]], [clients.pools[cid]], benign[None], cfg,
+        mixed = concat_datasets([parts[cid],
+                                 clients.pools[cid].subset(np.arange(cfg.poison_count))])
+        [row] = kind(theta, [parts[cid]], [mixed], benign[None], cfg,
                      [harness.derive_seed(cfg.seed, harness._CLIENT, t, cid)])
         return row
 
