@@ -7,12 +7,11 @@ runs produce byte-identical CSV output.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,10 +27,9 @@ from .data import (
     partition_noniid,
     stack_datasets,
 )
-from .errors import ConfigError, ShapeError, TrainingError
+from .errors import ConfigError, TrainingError
 from .model import (
     ModelParams,
-    finite_update,
     forward,
     init_model,
     local_train,
@@ -251,17 +249,16 @@ class _Clients:
         """The round's update matrix: row i is client selected[i]'s update, shape (n, d).
 
         The selected clients train in groups, one `_train` call each; every row is byte
-        for byte its client's update trained alone. A group's failure names its first
-        client, and a row that is not finite names its own.
+        for byte its client's update trained alone. A row that is not finite fails the
+        round, naming the client of the first such row in `selected` order; any other
+        training failure keeps its own message.
         """
         groups: Dict[Tuple[str, int], List[int]] = {}
         for i, cid in enumerate(selected):
             groups.setdefault(self._group(cid), []).append(i)
         trained = []
         for (kind, _), rows in groups.items():
-            ids = [selected[i] for i in rows]
-            with _naming(t, ids[0]):
-                trained.append((rows, self._train(kind, theta, ids, t)))
+            trained.append((rows, self._train(kind, theta, [selected[i] for i in rows], t)))
         # allocated once every group's training buffers are freed, so they never coexist
         U = np.empty((len(selected), theta.dim))
         for rows, block in trained:
@@ -314,21 +311,8 @@ def _finite_rows(rows: np.ndarray, ids: Sequence[int], t: int) -> np.ndarray:
     """`rows` itself, once each is finite; else the first row that is not names its client."""
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
-        first = int(np.argmin(finite))
-        with _naming(t, ids[first]):
-            finite_update(rows[first])
+        raise TrainingError(f"round {t}, client {ids[int(np.argmin(finite))]}: non-finite update")
     return rows
-
-
-@contextlib.contextmanager
-def _naming(t: int, cid: int) -> Iterator[None]:
-    """Prefix a shape or training failure inside the block with the round and the client."""
-    try:
-        yield
-    except (ShapeError, TrainingError) as exc:
-        if exc.__cause__ is not None:  # an inner block has named its own client
-            raise
-        raise type(exc)(f"round {t}, client {cid}: {exc}") from exc
 
 
 class ClusterVote:
@@ -439,6 +423,8 @@ def _baseline_round(
     else:  # fltrust, anchored on the server's own update on the auxiliary set
         server = local_train(theta, aux, cfg.epochs, cfg.lr_client, cfg.batch_size,
                              derive_seed(cfg.seed, _SERVER, t))
+        if not np.isfinite(server).all():
+            raise TrainingError(f"round {t}, server: non-finite update")
         step = baselines.fltrust(updates, server)
     return step, RoundRecord(t, selected)
 

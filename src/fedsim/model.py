@@ -177,13 +177,6 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tuple[fl
     return (float(loss) if loss.ndim == 0 else loss), grad
 
 
-def finite_update(delta: np.ndarray) -> np.ndarray:
-    """`delta` itself, once every entry is known to be finite."""
-    if not np.all(np.isfinite(delta)):
-        raise TrainingError("non-finite update")
-    return delta
-
-
 def epoch_batches(n: int, batch_size: int, rng: Sequence[np.random.Generator] | None
                   ) -> List[slice | Tuple[np.ndarray, np.ndarray]]:
     """One epoch's batches of a stack of models with n records each: the data as given,
@@ -253,12 +246,12 @@ def local_train(
     seed: int,
 ) -> np.ndarray:
     """`sgd_train` of one dataset as a stack of one, with one generator seeded by `seed`;
-    returns the finite (d,) delta.
+    returns the (d,) delta, unchecked like every row `sgd_train` returns.
 
     epochs, lr and batch_size are taken as SimConfig checked them.
     """
-    return finite_update(sgd_train(params, data.samples[None], data.labels[None], epochs, lr,
-                                   batch_size, [np.random.default_rng(seed)])[0])
+    return sgd_train(params, data.samples[None], data.labels[None], epochs, lr, batch_size,
+                     [np.random.default_rng(seed)])[0]
 
 
 def representation(params: ModelParams, aux: LabeledDataset) -> np.ndarray:

@@ -6,7 +6,10 @@ client that holds no records, and the attackers' pool size. Arrays are
 checked only where they are built: a `LabeledDataset`, a `ModelParams` and
 each `sgd_train` stack raise ShapeError, and so does `class_indicator` for a
 non-finite block of client-sent values. Every other kernel takes the round's
-arrays as built; training failures raise TrainingError.
+arrays as built. Training fails with a TrainingError in three places only:
+`sgd_train` on an empty stack, the round loop's `_finite_rows`, which names
+the client of the first row that is not finite, and the fltrust server's
+update, which names its round.
 
 Every choice string that the code compares with a choice field is one of
 that field's declared `Literal` choices, so a misspelt choice cannot name a
@@ -15,8 +18,7 @@ branch that no config reaches.
 The same AST walk holds plain SGD to one trainer: only `model.sgd_train`
 cuts batches, takes gradients and takes steps, the alternate family's epochs
 included, and it checks each call's stack once, so the kernels it calls raise
-nothing. Only `_Clients._train` dispatches to an attack, and only the round
-loop's `_finite_rows` checks a stack's rows for finiteness. The round loop
+nothing. Only `_Clients._train` dispatches to an attack. The round loop
 also owns each attacker's training data: only it and the config read
 `poison_count`, and the attacks take poisoned sets, never a pool. It also keeps
 aggregation on plain arrays: only the model, the attacks and the round loop
@@ -38,7 +40,7 @@ BOUNDARY = {"config.py", "cli.py"}
 SETUP_CHECKS = {("harness.py", "run_experiment"), ("harness.py", "_build_attack_pools")}
 
 
-def config_error_raises(source: str, name: str = "ConfigError") -> list:
+def raise_sites(source: str, name: str) -> list:
     """Dotted name of the enclosing function or class of each `raise <name>`."""
     found = []
 
@@ -56,7 +58,7 @@ def config_error_raises(source: str, name: str = "ConfigError") -> list:
     return found
 
 
-def test_config_error_raises_finds_every_raise():
+def test_raise_sites_finds_every_raise():
     source = (
         "from . import errors\n"
         "from .errors import ConfigError\n"
@@ -72,15 +74,15 @@ def test_config_error_raises_finds_every_raise():
         "def built(x):\n"
         "    raise errors.ShapeError(x)\n"
     )
-    assert config_error_raises(source) == ["check", "Ledger.__post_init__", "<module>"]
-    assert config_error_raises(source, "ShapeError") == ["built"]
-    assert config_error_raises(source, "ValueError") == ["shapes"]
+    assert raise_sites(source, "ConfigError") == ["check", "Ledger.__post_init__", "<module>"]
+    assert raise_sites(source, "ShapeError") == ["built"]
+    assert raise_sites(source, "ValueError") == ["shapes"]
 
 
 def test_only_the_config_boundary_raises_config_error():
     raises = {(path.name, where)
               for path in sorted(SRC.glob("*.py"))
-              for where in config_error_raises(path.read_text())}
+              for where in raise_sites(path.read_text(), "ConfigError")}
     assert {name for name, _ in raises} >= BOUNDARY
     assert {(name, where) for name, where in raises if name not in BOUNDARY} == SETUP_CHECKS
 
@@ -98,7 +100,7 @@ SHAPE_CHECKS = {
 def test_only_where_arrays_are_built_raises_shape_error():
     raises = {(path.name, where)
               for path in sorted(SRC.glob("*.py"))
-              for where in config_error_raises(path.read_text(), "ShapeError")}
+              for where in raise_sites(path.read_text(), "ShapeError")}
     assert raises == SHAPE_CHECKS
 
 
@@ -188,16 +190,21 @@ def test_the_training_kernels_raise_nothing():
     assert set(raisers(source)).isdisjoint(TRAINER_CALLS)
 
 
-# the one finite-row check: a lone client's update, and the rows of an update matrix or of a
-# group's anchors, each naming its own client; the attacks leave their rows to it
-FINITE_CALLS = {("model.py", "local_train"), ("harness.py", "_finite_rows")}
+# where training fails: an empty stack in the trainer, a non-finite row of an update matrix or
+# of a group's anchors in the one row check, which names its client, and a non-finite fltrust
+# server update, which names its round
+TRAINING_FAILURES = {
+    ("model.py", "sgd_train"),
+    ("harness.py", "_finite_rows"),
+    ("harness.py", "_baseline_round"),
+}
 
 
-def test_only_local_train_and_the_row_check_call_finite_update():
-    calls = {(path.name, where)
-             for path in sorted(SRC.glob("*.py"))
-             for where in callers(path.read_text(), "finite_update")}
-    assert calls == FINITE_CALLS
+def test_only_the_trainer_and_the_row_checks_raise_training_error():
+    raises = {(path.name, where)
+              for path in sorted(SRC.glob("*.py"))
+              for where in raise_sites(path.read_text(), "TrainingError")}
+    assert raises == TRAINING_FAILURES
 
 
 # the one attack dispatch: only _Clients._train calls an attack, and the

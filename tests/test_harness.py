@@ -216,12 +216,13 @@ def test_training_failure_names_the_failing_client(monkeypatch):
     victim = max(selected)
     victim_seed = harness.derive_seed(cfg.seed, harness._CLIENT, t, victim)
     orig = harness.local_train
-    def failing(params, data, epochs, lr, batch_size, seed):
+    def diverging(params, data, epochs, lr, batch_size, seed):
+        row = orig(params, data, epochs, lr, batch_size, seed)
         if seed == victim_seed:
-            raise TrainingError("boom")
-        return orig(params, data, epochs, lr, batch_size, seed)
-    monkeypatch.setattr(harness, "local_train", failing)
-    with pytest.raises(TrainingError, match=rf"^round {t}, client {victim}: boom$"):
+            row[7] = np.nan
+        return row
+    monkeypatch.setattr(harness, "local_train", diverging)
+    with pytest.raises(TrainingError, match=rf"^round {t}, client {victim}: non-finite update$"):
         run_experiment(cfg)
 
 
@@ -280,6 +281,37 @@ def test_non_finite_rows_name_the_first_in_selected_order(monkeypatch):
     monkeypatch.setattr(harness, "sgd_train", last_row_diverges)
     with pytest.raises(TrainingError, match=r"^round 2, client 4: non-finite update$"):
         clients.updates(theta, [0, 1, 2, 4, 5], 2)
+
+
+def test_a_diverged_lone_client_is_named_in_selected_order(monkeypatch):
+    # client 0 trains in the one-batch stack, client 1 alone, and both diverge: the stack's
+    # row is checked no later than the lone client's, so client 0 is named
+    from fedsim import harness, model
+    clients, theta = stack_clients([20, 80, 20], batch_size=64)
+    orig = model.sgd_train
+    def first_row_diverges(*args):
+        rows = orig(*args)
+        rows[0, 3] = np.nan
+        return rows
+    monkeypatch.setattr(model, "sgd_train", first_row_diverges)  # local_train's trainer
+    monkeypatch.setattr(harness, "sgd_train", first_row_diverges)
+    with pytest.raises(TrainingError, match=r"^round 2, client 0: non-finite update$"):
+        clients.updates(theta, [0, 1, 2], 2)
+
+
+def test_non_finite_server_update_names_its_round(monkeypatch):
+    # fltrust anchors on the server's update on the 60-record auxiliary set
+    from fedsim import model
+    cfg = tiny_cfg(aggregator="fltrust", attack="none")
+    orig = model.sgd_train
+    def server_diverges(params, x, y, *args):
+        rows = orig(params, x, y, *args)
+        if y.shape == (1, cfg.aux_classes * cfg.aux_per_class):
+            rows[0, 3] = np.inf
+        return rows
+    monkeypatch.setattr(model, "sgd_train", server_diverges)
+    with pytest.raises(TrainingError, match=r"^round 0, server: non-finite update$"):
+        run_experiment(cfg)
 
 
 def attack_clients(sizes, attack, num_malicious, **kw):
@@ -379,23 +411,27 @@ def test_sybil_leader_trains_once_per_round_that_selects_a_colluder(monkeypatch)
 def test_failing_sybil_leader_names_the_first_selected_colluder(monkeypatch):
     from fedsim import attacks
     clients, theta = attack_clients([30, 30, 30, 20, 20, 20], "sybil", 3, batch_size=16)
-    def failing(*args):
-        raise TrainingError("boom")
-    monkeypatch.setattr(attacks, "alternate_attack", failing)
-    with pytest.raises(TrainingError, match=r"^round 4, client 1: boom$"):
+    orig = attacks.alternate_attack
+    def leader_diverges(*args):
+        rows = orig(*args)
+        rows[0, 5] = np.nan
+        return rows
+    monkeypatch.setattr(attacks, "alternate_attack", leader_diverges)
+    # colluders 1 and 2 both submit the leader's row; 1 comes first in selected
+    with pytest.raises(TrainingError, match=r"^round 4, client 1: non-finite update$"):
         clients.updates(theta, [1, 2, 4], 4)
 
 
 def test_poisoner_without_training_records_keeps_its_own_error():
     # attacker 1 has no clean data and poisons no records
     clients, theta = attack_clients([30, 0, 20, 20], "basic", 2, poison_count=0)
-    with pytest.raises(TrainingError, match=r"^round 1, client 1: cannot train on an empty dataset$"):
+    with pytest.raises(TrainingError, match=r"^cannot train on an empty dataset$"):
         clients.updates(theta, [0, 1, 2, 3], 1)
 
 
 def test_empty_partition_keeps_its_own_error():
     clients, theta = stack_clients([20, 0, 20])
-    with pytest.raises(TrainingError, match=r"^round 1, client 1: cannot train on an empty dataset$"):
+    with pytest.raises(TrainingError, match=r"^cannot train on an empty dataset$"):
         clients.updates(theta, [0, 1, 2], 1)
 
 

@@ -256,12 +256,15 @@ def test_representation_matches_naive_mean():
     assert np.max(np.abs(rep - naive)) < 1e-10
 
 
-def test_local_train_rejects_non_finite_update():
+def test_local_train_returns_a_non_finite_update_unchecked():
+    # the round loop's row check names the client; local_train only trains
     rng = np.random.default_rng(12)
     model = init_model([8, 6, 4], seed=3)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingError, match="^non-finite update$"):
-            local_train(model, rand_batch(rng, 10, 8, 4), epochs=2, lr=1e200, batch_size=4, seed=0)
+        delta = local_train(model, rand_batch(rng, 10, 8, 4), epochs=2, lr=1e200, batch_size=4,
+                            seed=0)
+    assert delta.shape == (model.dim,)
+    assert not np.isfinite(delta).all()
 
 
 def test_last_layer_weight_block_view():
