@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import SimConfig, apply_overrides, load_config, split_setting
 from .errors import ConfigError, ShapeError, TrainingError
-from .harness import run_and_write
+from .harness import run_and_write, shared_worlds
 
 
 def _overrides(args: argparse.Namespace) -> Dict[str, str]:
@@ -82,11 +82,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if len(set(items)) < len(items):  # a repeat would run again into the same files
             raise ConfigError(f"{flag} repeats a value: {','.join(map(str, items))}")
     out_dir = Path(args.out)
-    runs = _runs(cfg, [(out_dir / f"{key}_{value}", {key: value, "seed": str(seed)})
-                       for value in values for seed in seeds])
+    # seed-major, so the runs of one seed follow each other and share its data
+    with shared_worlds():
+        summaries = list(_runs(cfg, [(out_dir / f"{key}_{value}", {key: value, "seed": str(seed)})
+                                     for seed in seeds for value in values]))
     rows = []
-    for value in values:
-        mean = _mean_summary([next(runs) for _ in seeds])
+    for i, value in enumerate(values):
+        mean = _mean_summary(summaries[i::len(values)])
         mean[key] = value
         rows.append(mean)
         print(f"{key}={value}: accuracy={mean['final_accuracy']:.4f} "

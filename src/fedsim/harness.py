@@ -2,16 +2,19 @@
 
 A run is a pure function of its SimConfig. Every random draw comes from a
 stream derived from (config seed, purpose tag, round, client), so repeated
-runs produce byte-identical CSV output.
+runs produce byte-identical CSV output. Inside `shared_worlds`, runs that agree
+on the fields their data are drawn from share one read-only draw of them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import inspect
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,29 +174,87 @@ Aggregator = Callable[[ModelParams, np.ndarray, List[int], int],
                       Tuple[np.ndarray, RoundRecord]]
 
 
+class _World(NamedTuple):
+    """The data of a run, drawn from its seed and data fields; every array is read-only.
+
+    `train` is held although the run reads only its partitions: dropping it after the
+    partition made later runs' allocations fault in fresh pages, which cost more than
+    the memory it holds.
+    """
+
+    train: LabeledDataset
+    test: LabeledDataset
+    aux: LabeledDataset
+    partitions: Tuple[LabeledDataset, ...]
+    ground_truth: np.ndarray
+
+
+def _draw_world(seed: int, num_classes: int, input_dim: int, per_class: int,
+                test_per_class: int, aux_per_class: int, aux_classes: int, n_clients: int,
+                noniid_p: float, shards: int, tau: int) -> _World:
+    """The one draw of a run's data; its parameters are the config fields the data depend on."""
+    m, r_in = num_classes, input_dim
+    means = class_means(m, r_in, seed)
+    train = gen_dataset(m, r_in, per_class, derive_seed(seed, _TRAIN), means)
+    test = gen_dataset(m, r_in, test_per_class, derive_seed(seed, _TEST), means)
+    aux_full = gen_dataset(m, r_in, aux_per_class, derive_seed(seed, _AUX), means)
+    aux = aux_full.subset(np.flatnonzero(aux_full.labels < aux_classes))
+    partitions = tuple(partition_noniid(train, n_clients, noniid_p, shards,
+                                        derive_seed(seed, _PART)))
+    world = _World(train, test, aux, partitions, ground_truth_abstract(partitions, tau))
+    for ds in (train, test, aux, *partitions):
+        ds.samples.flags.writeable = ds.labels.flags.writeable = False
+    world.ground_truth.flags.writeable = False
+    return world
+
+
+# the memo's key: the config fields _draw_world reads, named by its own parameters
+_WORLD_FIELDS = tuple(inspect.signature(_draw_world).parameters)
+# inside `shared_worlds`, the last world drawn, keyed by its fields' values; else None
+_last_world: Optional[Dict[tuple, _World]] = None
+
+
+@contextlib.contextmanager
+def shared_worlds() -> Iterator[None]:
+    """Runs inside the block that agree on their world's fields share one draw of it.
+
+    The block keeps one world at a time: it releases the last one before it draws the
+    next, and when it ends. A world kept past the block made every later sweep of the
+    process fault its temporaries in afresh, at about 25 times the page faults.
+    """
+    global _last_world
+    _last_world = {}
+    try:
+        yield
+    finally:
+        _last_world = None
+
+
+def _world(cfg: SimConfig) -> _World:
+    """cfg's world: inside `shared_worlds` the last one drawn if cfg shares its fields."""
+    key = tuple(getattr(cfg, name) for name in _WORLD_FIELDS)
+    if _last_world is None:
+        return _draw_world(*key)
+    if key not in _last_world:
+        _last_world.clear()  # the old world goes before the new one is drawn: never two at once
+        _last_world[key] = _draw_world(*key)
+    return _last_world[key]
+
+
 def run_experiment(cfg: SimConfig) -> ExperimentResult:
     """Execute the configured federation end to end; fully deterministic."""
-    m, r_in = cfg.num_classes, cfg.input_dim
-    means = class_means(m, r_in, cfg.seed)
-    train = gen_dataset(m, r_in, cfg.per_class, derive_seed(cfg.seed, _TRAIN), means)
-    test = gen_dataset(m, r_in, cfg.test_per_class, derive_seed(cfg.seed, _TEST), means)
-    aux_full = gen_dataset(m, r_in, cfg.aux_per_class, derive_seed(cfg.seed, _AUX), means)
-    aux = aux_full.subset(np.flatnonzero(aux_full.labels < cfg.aux_classes))
-
-    partitions = partition_noniid(train, cfg.n_clients, cfg.noniid_p, cfg.shards,
-                                  derive_seed(cfg.seed, _PART))
-    empty = [cid for cid, part in enumerate(partitions) if part.size == 0]
+    world = _world(cfg)
+    empty = [cid for cid, part in enumerate(world.partitions) if part.size == 0]
     if empty:
         raise ConfigError(f"client {empty[0]} holds no records: per_class, num_classes, "
                           "n_clients, noniid_p and shards leave its share of the data empty")
-    ground_truth = ground_truth_abstract(partitions, cfg.tau)
     trigger = TriggerPattern(cfg.trigger_indices, cfg.trigger_values, cfg.trigger_target)
-    clients = _Clients(cfg, partitions, trigger)
+    clients = _Clients(cfg, world.partitions, trigger)
 
     theta = init_model(cfg.layer_dims, derive_seed(cfg.seed, _INIT), zero_last=True)
     aggregate: Aggregator = (
-        ClusterVote(cfg, ground_truth, aux) if cfg.aggregator == "clustervote"
-        else functools.partial(_baseline_round, cfg, aux))
+        ClusterVote(cfg, world.ground_truth, world.aux) if cfg.aggregator == "clustervote"
+        else functools.partial(_baseline_round, cfg, world.aux))
 
     records: List[RoundRecord] = []
     for t in range(cfg.rounds):
@@ -201,7 +262,7 @@ def run_experiment(cfg: SimConfig) -> ExperimentResult:
         step, record = aggregate(theta, clients.updates(theta, selected, t), selected, t)
         theta = ModelParams(theta.flat + step, theta.shapes)
         record.accuracy, record.asr, record.asr_defined = evaluate(
-            theta, test, trigger, cfg.base_count)
+            theta, world.test, trigger, cfg.base_count)
         records.append(record)
     return ExperimentResult(cfg, records, theta)
 

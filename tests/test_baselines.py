@@ -230,6 +230,24 @@ def test_median_matches_sort_oracle():
     assert np.max(np.abs(coordinate_median(np.stack(ups)) - expected)) < 1e-15
 
 
+# finite values that stress the middle pair's mean: ties, both zeros and near-overflow
+_median_cells = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.lists(_median_cells, min_size=n, max_size=n), min_size=1, max_size=12)))
+def test_median_is_byte_equal_to_numpy_median(rows):
+    # odd and even counts, a single row, ties, signed zeros (np.median's mean adds a lone
+    # -0.0 to +0.0) and sums of two huge middle values that overflow to inf
+    ups = np.array(rows)
+    with np.errstate(over="ignore"):
+        assert coordinate_median(ups).tobytes() == np.median(ups, axis=0).tobytes()
+
+
 def test_trim_zero_equals_fedavg():
     rng = np.random.default_rng(4)
     ups = np.stack(rand_updates(rng, 5))

@@ -23,7 +23,8 @@ also owns each attacker's training data: only it and the config read
 `poison_count`, and the attacks take poisoned sets, never a pool. It also keeps
 aggregation on plain arrays: only the model, the attacks and the round loop
 name `ModelParams`, so trust, the baselines, clustering and inference take
-and return ndarrays.
+and return ndarrays. A run's data are drawn in one place,
+`harness._draw_world`, so the memo that shares them between runs sees every draw.
 """
 
 import ast
@@ -150,6 +151,19 @@ def test_only_the_trainer_batches_steps_and_takes_gradients(name):
              for path in sorted(SRC.glob("*.py"))
              for where in callers(path.read_text(), name)}
     assert calls == TRAINER_CALLS[name]
+
+
+# the one draw of a run's data, which the runs that share its fields reuse
+WORLD_DRAWS = {name: {("harness.py", "_draw_world")} for name in
+               ("class_means", "gen_dataset", "partition_noniid", "ground_truth_abstract")}
+
+
+@pytest.mark.parametrize("name", sorted(WORLD_DRAWS))
+def test_only_the_world_draw_draws_a_runs_data(name):
+    calls = {(path.name, where)
+             for path in sorted(SRC.glob("*.py"))
+             for where in callers(path.read_text(), name)}
+    assert calls == WORLD_DRAWS[name]
 
 
 def raisers(source: str) -> list:

@@ -624,6 +624,77 @@ def test_cli_sweep_strips_each_value(tmp_path, capsys, param, values, names):
     assert printed == [f"{param}={v}" for v in names]
 
 
+def _counting_draws(monkeypatch, seeds):
+    """The config seeds of the training sets harness draws from now on, in draw order."""
+    from fedsim import harness
+    train_seeds = {harness.derive_seed(seed, harness._TRAIN): seed for seed in seeds}
+    draws = []
+    real = harness.gen_dataset
+
+    def counting(m, r_in, per_class, seed, means):
+        if seed in train_seeds:
+            draws.append(train_seeds[seed])
+        return real(m, r_in, per_class, seed, means)
+
+    monkeypatch.setattr(harness, "gen_dataset", counting)
+    return draws
+
+
+@pytest.mark.parametrize("aggregator, attack", [("clustervote", "alternate"), ("fltrust", "dba")])
+def test_a_run_on_a_shared_world_matches_one_that_draws_its_own(monkeypatch, aggregator, attack):
+    from dataclasses import replace
+
+    from fedsim import harness
+    cfg = tiny_cfg(aggregator=aggregator, attack=attack, rounds=2)
+    draws = _counting_draws(monkeypatch, [cfg.seed, cfg.seed + 1])
+
+    def run(c):
+        result = run_experiment(c)
+        return [r.to_csv_row() for r in result.records], result.final_params.flat.tobytes()
+
+    with harness.shared_worlds():
+        run(replace(cfg, seed=cfg.seed + 1))
+        drawn = run(cfg)  # right after another seed, so it draws its own world
+        run(replace(cfg, aggregator="median"))
+        shared = run(cfg)  # on the world that two runs have used
+        assert draws == [cfg.seed + 1, cfg.seed]
+        (world,) = harness._last_world.values()
+        with pytest.raises(ValueError, match="read-only"):
+            world.partitions[0].samples[0, 0] = 0.0
+    assert shared == drawn
+    # the block keeps no world past its end, and a run outside one draws its own
+    assert harness._last_world is None
+    assert run(cfg) == drawn and run(cfg) == drawn
+    assert draws == [cfg.seed + 1, cfg.seed, cfg.seed, cfg.seed]
+
+
+def test_a_sweep_over_aggregators_draws_each_seeds_world_once(tmp_path, monkeypatch, capsys):
+    import contextlib
+
+    from fedsim import cli
+    cfg_path = tmp_path / "t.cfg"
+    settings = {**TINY, "attack": "basic", "rounds": 1}
+    cfg_path.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    draws = _counting_draws(monkeypatch, [1, 2])
+
+    def sweep(out):
+        draws.clear()
+        assert main(["sweep", str(cfg_path), "--param", "aggregator", "--values", "fedavg,median",
+                     "--seeds", "1,2", "--out", str(out)]) == 0
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        return list(draws), capsys.readouterr().out, files
+
+    shared = sweep(tmp_path / "shared")
+    # a sweep that shares nothing: every run draws its own world
+    monkeypatch.setattr(cli, "shared_worlds", contextlib.nullcontext)
+    fresh = sweep(tmp_path / "fresh")
+    assert shared[0] == [1, 2]
+    assert fresh[0] == [1, 1, 2, 2]
+    assert len(shared[2]) == 4 * 3 + 1  # each run's CSV, summary and config, and the means
+    assert shared[1:] == fresh[1:]
+
+
 def test_cli_bad_override_exit_code(tmp_path):
     assert main(["run", "--override", "bogus_key=1", "--out", str(tmp_path)]) == 2
 
@@ -722,6 +793,17 @@ def test_cli_client_without_records_fails_before_training(tmp_path, capsys, monk
     assert len(err) == 1
     assert err[0].startswith("config error: client ")
     assert "holds no records: per_class, num_classes, n_clients, noniid_p and shards " in err[0]
+
+
+def test_a_shared_world_with_an_empty_client_fails_every_run(monkeypatch):
+    from fedsim import harness
+    cfg = SimConfig(per_class=4)
+    draws = _counting_draws(monkeypatch, [cfg.seed])
+    with harness.shared_worlds():
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="holds no records"):
+                run_experiment(cfg)
+    assert draws == [cfg.seed]  # the second run failed on the first one's world
 
 
 def test_cli_run_failure_is_one_line(tmp_path, capsys, monkeypatch):
