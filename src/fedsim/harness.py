@@ -3,7 +3,10 @@
 A run is a pure function of its SimConfig. Every random draw comes from a
 stream derived from (config seed, purpose tag, round, client), so repeated
 runs produce byte-identical CSV output. Inside `shared_worlds`, runs that agree
-on the fields their data are drawn from share one read-only draw of them.
+on the fields their data are drawn from share one read-only draw of them, and
+runs that differ only in the fields the server alone reads (`SERVER_FIELDS`)
+share one read-only round-0 update matrix; each run still selects, aggregates,
+evaluates and writes its own rounds.
 """
 
 from __future__ import annotations
@@ -210,24 +213,32 @@ def _draw_world(seed: int, num_classes: int, input_dim: int, per_class: int,
 
 # the memo's key: the config fields _draw_world reads, named by its own parameters
 _WORLD_FIELDS = tuple(inspect.signature(_draw_world).parameters)
+# the config fields only the server reads: aggregation, evaluation and the run's length.
+# Client training reads every other field (the adaptive forge reads threshold_mode and beta)
+SERVER_FIELDS = ("aggregator", "agg_f", "lr_server", "strict_paper_sign", "gamma",
+                 "voting_metrics", "indicator_obs_cap", "rounds", "base_count")
 # inside `shared_worlds`, the last world drawn, keyed by its fields' values; else None
 _last_world: Optional[Dict[tuple, _World]] = None
+# inside `shared_worlds`, the last round-0 update matrix, keyed by its training fields; else None
+_last_round0: Optional[Dict[tuple, np.ndarray]] = None
 
 
 @contextlib.contextmanager
 def shared_worlds() -> Iterator[None]:
-    """Runs inside the block that agree on their world's fields share one draw of it.
+    """Runs inside the block that agree on their world's fields share one draw of it, and
+    runs that differ only in `SERVER_FIELDS` share one round-0 update matrix.
 
-    The block keeps one world at a time: it releases the last one before it draws the
-    next, and when it ends. A world kept past the block made every later sweep of the
-    process fault its temporaries in afresh, at about 25 times the page faults.
+    The block keeps one world and one round-0 matrix at a time: it releases the last ones
+    before it draws or trains the next, and when it ends. A world kept past the block made
+    every later sweep of the process fault its temporaries in afresh, at about 25 times the
+    page faults.
     """
-    global _last_world
-    _last_world = {}
+    global _last_world, _last_round0
+    _last_world, _last_round0 = {}, {}
     try:
         yield
     finally:
-        _last_world = None
+        _last_world = _last_round0 = None
 
 
 def _world(cfg: SimConfig) -> _World:
@@ -236,9 +247,28 @@ def _world(cfg: SimConfig) -> _World:
     if _last_world is None:
         return _draw_world(*key)
     if key not in _last_world:
-        _last_world.clear()  # the old world goes before the new one is drawn: never two at once
+        # the old world, and the round 0 trained on it, go before the new one is drawn
+        _last_world.clear()
+        _last_round0.clear()
         _last_world[key] = _draw_world(*key)
     return _last_world[key]
+
+
+def _updates(cfg: SimConfig, clients: "_Clients", theta: ModelParams, selected: Sequence[int],
+             t: int) -> np.ndarray:
+    """Round t's update matrix. Inside `shared_worlds` round 0's is the last one trained,
+    read-only, if cfg differs from its run only in `SERVER_FIELDS`: round 0's theta,
+    selection and training seeds follow from the other fields, so its matrix is the same."""
+    if t != 0 or _last_round0 is None:
+        return clients.updates(theta, selected, t)
+    # every field but the server's, so a field added later makes the key stricter
+    key = tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name not in SERVER_FIELDS)
+    if key not in _last_round0:
+        _last_round0.clear()  # the old matrix goes before the new one trains
+        U = clients.updates(theta, selected, t)  # a failed round stores nothing
+        U.flags.writeable = False
+        _last_round0[key] = U
+    return _last_round0[key]
 
 
 def run_experiment(cfg: SimConfig) -> ExperimentResult:
@@ -259,7 +289,7 @@ def run_experiment(cfg: SimConfig) -> ExperimentResult:
     records: List[RoundRecord] = []
     for t in range(cfg.rounds):
         selected = select_clients(cfg.n_clients, cfg.selection_ratio, t, cfg.seed)
-        step, record = aggregate(theta, clients.updates(theta, selected, t), selected, t)
+        step, record = aggregate(theta, _updates(cfg, clients, theta, selected, t), selected, t)
         theta = ModelParams(theta.flat + step, theta.shapes)
         record.accuracy, record.asr, record.asr_defined = evaluate(
             theta, world.test, trigger, cfg.base_count)

@@ -191,6 +191,11 @@ def epoch_batches(n: int, batch_size: int, rng: Sequence[np.random.Generator] | 
     return [(models, order[:, start:start + batch_size]) for start in range(0, n, batch_size)]
 
 
+# the most models one block of a stack trains at a time: a block's theta, gradient and
+# delta stay in cache, and the per-call overhead is spread over enough models
+_BLOCK_ROWS = 16
+
+
 def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
               batch_size: int, rng: Sequence[np.random.Generator] | None,
               anchor: np.ndarray | None = None, pull: float = 0.0,
@@ -199,13 +204,16 @@ def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray, epochs: int, lr
     (K, d) delta = theta_after - theta_before.
 
     x is a (K, n, width) stack of K datasets of one size n with (K, n) labels, and `rng` one
-    generator per model; row k of the delta is byte for byte the update of its k-th dataset
-    alone with the k-th generator. Data that fit in one batch draw nothing, so `rng` may then
-    be None. After each step a positive `pull` moves the delta that fraction of the way to
-    `anchor`. Theta starts at params + delta, where delta is zero or, resuming an earlier call,
-    a copy of the delta it returned. The stack is checked here, once per call and before the
-    first step, so `loss_and_grad` and `epoch_batches` check nothing; the finiteness check is
-    left to the caller, which knows whom to name.
+    generator per model, each its own; row k of the delta is byte for byte the update of its
+    k-th dataset alone with the k-th generator. Data that fit in one batch draw nothing, so
+    `rng` may then be None. After each step a positive `pull` moves row k of the delta that
+    fraction of the way to row k of the (K, d) `anchor`. Theta starts at params + delta, where
+    delta is zero or, resuming an earlier call, a copy of the delta it returned. The (K, d)
+    result is allocated once, and the stack trains in blocks of at most `_BLOCK_ROWS` models,
+    each running every epoch on its own rows of the result; as the rows are independent, the
+    blocks change no byte. The stack is checked here, once per call and before the first
+    step, so `loss_and_grad` and `epoch_batches` check nothing; the finiteness check is left
+    to the caller, which knows whom to name.
     """
     if x.ndim != 3 or y.shape != x.shape[:2]:
         raise ShapeError(f"a training stack is (K, n, width) inputs with (K, n) labels, "
@@ -223,18 +231,23 @@ def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray, epochs: int, lr
         if count != k:
             raise ShapeError(f"a stack of {k} models trains with one generator per model, "
                              f"not {count}")
-    delta = np.zeros((k, params.dim)) if delta is None else delta.copy()
-    theta = ModelParams(params.flat + delta, params.shapes)
-    for _ in range(epochs):
-        for idx in epoch_batches(n, batch_size, rng):
-            grad = loss_and_grad(theta, x[idx], y[idx])[1]
-            grad *= lr  # scaling in place gives the same doubles as lr * grad
-            delta -= grad
-            del grad  # freed before the next gradient exists
-            if pull > 0.0:
-                delta -= pull * (delta - anchor)
-            np.add(params.flat, delta, out=theta.flat)
-    return delta
+    result = np.zeros((k, params.dim)) if delta is None else delta.copy()
+    for lo in range(0, k, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        block = result[rows]  # a view: the block's steps write its rows of the result
+        xs, ys = x[rows], y[rows]
+        gens = None if rng is None else rng[rows]
+        theta = ModelParams(params.flat + block, params.shapes)
+        for _ in range(epochs):
+            for idx in epoch_batches(n, batch_size, gens):
+                grad = loss_and_grad(theta, xs[idx], ys[idx])[1]
+                grad *= lr  # scaling in place gives the same doubles as lr * grad
+                block -= grad
+                del grad  # freed before the next gradient exists
+                if pull > 0.0:
+                    block -= pull * (block - anchor[rows])
+                np.add(params.flat, block, out=theta.flat)
+    return result
 
 
 def local_train(

@@ -25,15 +25,19 @@ aggregation on plain arrays: only the model, the attacks and the round loop
 name `ModelParams`, so trust, the baselines, clustering and inference take
 and return ndarrays. A run's data are drawn in one place,
 `harness._draw_world`, so the memo that shares them between runs sees every draw.
+Client training reads none of `harness.SERVER_FIELDS`, the fields only the server
+reads, so runs that differ only in those may share their round-0 update matrix.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
 from fedsim.config import SimConfig
+from fedsim.harness import SERVER_FIELDS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fedsim"
 
@@ -289,6 +293,35 @@ def test_only_the_config_and_the_round_loop_read_poison_count():
     assert readers == POISON_COUNT_READERS
     attacks = (SRC / "attacks.py").read_text()
     assert lines_naming(attacks, "pool") == lines_naming(attacks, "pools") == []
+
+
+# the code that trains a round's clients, whole modules or (module, top-level names)
+TRAINING_PATH = [("harness.py", ("_Clients", "_build_attack_pools")), ("attacks.py", None),
+                 ("model.py", None), ("data.py", None)]
+
+
+def definitions(source: str, names: tuple) -> list:
+    """The source of each top-level function or class of `source` named in `names`."""
+    return [ast.get_source_segment(source, node) for node in ast.parse(source).body
+            if getattr(node, "name", None) in names]
+
+
+def test_definitions_finds_each_top_level_definition():
+    source = "def a():\n    return b\n\nclass B:\n    def a(self):\n        pass\n\nx = 1\n"
+    assert definitions(source, ("a", "B", "x")) == [
+        "def a():\n    return b", "class B:\n    def a(self):\n        pass"]
+
+
+def test_no_training_code_reads_a_server_only_field():
+    assert set(SERVER_FIELDS) < {f.name for f in fields(SimConfig)}
+    read = []
+    for module, names in TRAINING_PATH:
+        source = (SRC / module).read_text()
+        pieces = [source] if names is None else definitions(source, names)
+        assert len(pieces) == (1 if names is None else len(names))
+        read += [(module, name) for piece in pieces for name in SERVER_FIELDS
+                 if lines_naming(piece, name)]
+    assert read == []
 
 
 # the config fields whose values are declared choices

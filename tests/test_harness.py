@@ -1,6 +1,7 @@
 """Round loop, selection, evaluation, records, and CLI surface."""
 
 import json
+import math
 import warnings
 from dataclasses import fields
 
@@ -500,9 +501,10 @@ def test_summary_counts_the_attacker_updates_aggregated(tmp_path):
     assert summary["malicious_updates"] == counted > 0
 
 
-def test_many_one_batch_clients_make_one_sgd_call_per_epoch(monkeypatch):
-    # 100 selected clients of 20 records each: one stack, so a fallback to
-    # training them one at a time would make 100 calls per epoch
+def test_many_one_batch_clients_make_one_sgd_call_per_block_per_epoch(monkeypatch):
+    # 100 selected clients of 20 records each: one stack, trained in blocks of at most
+    # _BLOCK_ROWS models, so a fallback to training them one at a time would make 100
+    # calls per epoch
     from fedsim import model
     calls = []
     orig = model.loss_and_grad
@@ -512,8 +514,12 @@ def test_many_one_batch_clients_make_one_sgd_call_per_epoch(monkeypatch):
     monkeypatch.setattr(model, "loss_and_grad", counting)
     cfg = SimConfig(n_clients=500, shards=500, aggregator="fedavg", attack="none", rounds=1)
     run_experiment(cfg)
-    assert len(calls) == cfg.epochs
-    assert calls[0] == (100, 20, cfg.input_dim)
+    rows = model._BLOCK_ROWS
+    assert len(calls) == cfg.epochs * math.ceil(100 / rows) < 100
+    assert all(k <= rows and rest == [20, cfg.input_dim] for k, *rest in calls)
+    # a block runs every epoch before the next block starts, one call per epoch
+    assert [sum(shape[0] for shape in calls[e::cfg.epochs]) for e in range(cfg.epochs)] == \
+        [100] * cfg.epochs
 
 
 def test_csv_write_and_header(tmp_path):
@@ -693,6 +699,100 @@ def test_a_sweep_over_aggregators_draws_each_seeds_world_once(tmp_path, monkeypa
     assert fresh[0] == [1, 1, 2, 2]
     assert len(shared[2]) == 4 * 3 + 1  # each run's CSV, summary and config, and the means
     assert shared[1:] == fresh[1:]
+
+
+def _counting_round0(monkeypatch):
+    """The configs whose round 0 trains from now on, in training order."""
+    from fedsim import harness
+    trained = []
+    real = harness._Clients.updates
+
+    def counting(self, theta, selected, t):
+        if t == 0:
+            trained.append(self.cfg)
+        return real(self, theta, selected, t)
+
+    monkeypatch.setattr(harness._Clients, "updates", counting)
+    return trained
+
+
+def _sweep_files(cfg_path, out, capsys, *argv):
+    """(stdout, {path under out: bytes}) of one `fedsim sweep` of cfg_path into out."""
+    assert main(["sweep", str(cfg_path), *argv, "--out", str(out)]) == 0
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return capsys.readouterr().out, files
+
+
+def test_a_sweep_over_aggregators_trains_each_seeds_round_0_once(tmp_path, monkeypatch, capsys):
+    import contextlib
+
+    from fedsim import cli
+    cfg_path = tmp_path / "t.cfg"
+    settings = {**TINY, "attack": "basic", "rounds": 2, "agg_f": 1}
+    cfg_path.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    trained = _counting_round0(monkeypatch)
+    argv = ("--param", "aggregator", "--values", "fedavg,krum,median", "--seeds", "1,2")
+    shared = _sweep_files(cfg_path, tmp_path / "shared", capsys, *argv)
+    assert [c.seed for c in trained] == [1, 2]
+    # a sweep that shares nothing trains every run's round 0
+    trained.clear()
+    monkeypatch.setattr(cli, "shared_worlds", contextlib.nullcontext)
+    fresh = _sweep_files(cfg_path, tmp_path / "fresh", capsys, *argv)
+    assert [c.seed for c in trained] == [1, 1, 1, 2, 2, 2]
+    assert len(shared[1]) == 6 * 3 + 1  # each run's CSV, summary and config, and the means
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("param, values, attack", [
+    ("lr_client", "0.05,0.1", "basic"),
+    # the adaptive forge reads threshold_mode, so it is no server-only field
+    ("threshold_mode", "mean,absolute", "adaptive"),
+])
+def test_a_sweep_over_a_training_field_trains_round_0_once_per_run(tmp_path, monkeypatch, capsys,
+                                                                   param, values, attack):
+    cfg_path = tmp_path / "t.cfg"
+    settings = {**TINY, "attack": attack, "rounds": 1, "aggregator": "fedavg"}
+    cfg_path.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    trained = _counting_round0(monkeypatch)
+    _sweep_files(cfg_path, tmp_path / "sweep", capsys, "--param", param, "--values", values)
+    assert [str(getattr(c, param)) for c in trained] == values.split(",")
+
+
+def test_runs_on_a_shared_round_0_match_standalone_runs(monkeypatch):
+    from dataclasses import replace
+
+    from fedsim import harness
+    cfg = tiny_cfg(attack="adaptive", rounds=2)
+    trained = _counting_round0(monkeypatch)
+
+    def runs():
+        out = []
+        for aggregator in ("fedavg", "clustervote"):
+            result = run_experiment(replace(cfg, aggregator=aggregator))
+            out.append(([r.to_csv_row() for r in result.records],
+                        result.final_params.flat.tobytes()))
+        return out
+
+    standalone = runs()
+    assert len(trained) == 2
+    with harness.shared_worlds():
+        shared = runs()
+        (U,) = harness._last_round0.values()
+        with pytest.raises(ValueError, match="read-only"):
+            U[0, 0] = 0.0
+    assert len(trained) == 3  # the clustervote run took the fedavg run's round 0
+    assert shared == standalone
+    # the block keeps no round-0 matrix past its end
+    assert harness._last_round0 is None
+
+
+def test_a_run_that_fails_in_round_0_shares_nothing():
+    from fedsim import harness
+    with harness.shared_worlds(), np.errstate(all="ignore"):
+        with pytest.raises(TrainingError, match="round 0"):
+            run_experiment(tiny_cfg(lr_client=1e200, rounds=1))
+        assert harness._last_round0 == {}
 
 
 def test_cli_bad_override_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 """Model core: shapes, forward, analytic gradients, local SGD."""
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim import model as fedsim_model
 from fedsim.data import LabeledDataset
 from fedsim.errors import ShapeError, TrainingError
 from fedsim.model import (
@@ -307,6 +309,20 @@ def stack_case(k, n, hidden, seed):
     return init_model([8, *hidden, 4], seed=seed), datasets
 
 
+# sgd_train's block size, drawn small so that a stack of up to five models crosses block
+# boundaries; None keeps the trainer's own
+BLOCKS = st.none() | st.integers(1, 3)
+
+
+@contextlib.contextmanager
+def blocks_of(rows):
+    """sgd_train with blocks of at most `rows` models, or of its own size when None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(fedsim_model, "_BLOCK_ROWS", rows)
+        yield
+
+
 @settings(max_examples=60, deadline=None)
 @given(**STACKS)
 def test_stacked_loss_and_grad_equals_one_call_per_model(k, n, hidden, seed):
@@ -326,14 +342,15 @@ def test_stacked_loss_and_grad_equals_one_call_per_model(k, n, hidden, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(**STACKS, extra=st.integers(0, 60), epochs=st.integers(1, 4))
-def test_sgd_train_stack_rows_equal_local_train_alone(k, n, hidden, seed, extra, epochs):
+@given(**STACKS, extra=st.integers(0, 60), epochs=st.integers(1, 4), block=BLOCKS)
+def test_sgd_train_stack_rows_equal_local_train_alone(k, n, hidden, seed, extra, epochs, block):
     model, datasets = stack_case(k, n, hidden, seed)
     lr = 0.3
     x = np.stack([d.samples for d in datasets])
     y = np.stack([d.labels for d in datasets])
     # any batch size that holds the whole dataset trains it in one step per epoch
-    rows = sgd_train(model, x, y, epochs, lr, n + extra, None)
+    with blocks_of(block):
+        rows = sgd_train(model, x, y, epochs, lr, n + extra, None)
     assert rows.shape == (k, model.dim)
     for row, data in zip(rows, datasets):
         assert row.tobytes() == local_train(model, data, epochs, lr, n + extra, seed).tobytes()
@@ -370,16 +387,17 @@ def test_sgd_train_stack_takes_one_generator_per_model():
 
 
 @settings(max_examples=60, deadline=None)
-@given(**STACKS, batch_size=st.integers(1, 6), epochs=st.integers(1, 4))
+@given(**STACKS, batch_size=st.integers(1, 6), epochs=st.integers(1, 4), block=BLOCKS)
 def test_sgd_train_multi_batch_stack_rows_equal_each_model_alone(k, n, hidden, seed, batch_size,
-                                                                 epochs):
+                                                                 epochs, block):
     model, datasets = stack_case(k, n, hidden, seed)
     lr = 0.3
     seeds = [seed + i for i in range(k)]
     x = np.stack([d.samples for d in datasets])
     y = np.stack([d.labels for d in datasets])
     rngs = [np.random.default_rng(s) for s in seeds]
-    rows = sgd_train(model, x, y, epochs, lr, batch_size, rngs)
+    with blocks_of(block):
+        rows = sgd_train(model, x, y, epochs, lr, batch_size, rngs)
     assert rows.shape == (k, model.dim)
     for row, data, s, rng in zip(rows, datasets, seeds, rngs):
         assert row.tobytes() == local_train(model, data, epochs, lr, batch_size, s).tobytes()
@@ -400,9 +418,9 @@ def test_sgd_train_multi_batch_stack_rows_equal_each_model_alone(k, n, hidden, s
 
 @settings(max_examples=60, deadline=None)
 @given(**STACKS, batch_size=st.integers(1, 6), epochs=st.integers(1, 5),
-       pull=st.just(0.0) | st.floats(0.0, 1.0), data=st.data())
+       pull=st.just(0.0) | st.floats(0.0, 1.0), data=st.data(), block=BLOCKS)
 def test_sgd_train_resumed_over_calls_equals_one_call(k, n, hidden, seed, batch_size, epochs,
-                                                     pull, data):
+                                                     pull, data, block):
     # epochs split over calls that each resume the delta the last one returned
     model, datasets = stack_case(k, n, hidden, seed)
     x = np.stack([d.samples for d in datasets])
@@ -416,20 +434,45 @@ def test_sgd_train_resumed_over_calls_equals_one_call(k, n, hidden, seed, batch_
 
     anchor = 0.1 * np.random.default_rng(seed + 1).standard_normal((k, model.dim))
     whole_rng = generators()
-    whole = sgd_train(model, x, y, epochs, 0.3, batch_size, whole_rng, anchor, pull)
     cuts = data.draw(st.sets(st.integers(1, epochs - 1)) if epochs > 1 else st.just(set()))
     bounds = [0, *sorted(cuts), epochs]
     parts_rng, delta = generators(), None
-    for start, stop in zip(bounds, bounds[1:]):
-        before = None if delta is None else delta.tobytes()
-        resumed = sgd_train(model, x, y, stop - start, 0.3, batch_size, parts_rng, anchor, pull,
-                            delta)
-        # resumed on a copy: the delta passed in is left as it was
-        assert delta is None or delta.tobytes() == before
-        delta = resumed
+    with blocks_of(block):
+        whole = sgd_train(model, x, y, epochs, 0.3, batch_size, whole_rng, anchor, pull)
+        for start, stop in zip(bounds, bounds[1:]):
+            before = None if delta is None else delta.tobytes()
+            resumed = sgd_train(model, x, y, stop - start, 0.3, batch_size, parts_rng, anchor,
+                                pull, delta)
+            # resumed on a copy: the delta passed in is left as it was
+            assert delta is None or delta.tobytes() == before
+            delta = resumed
     assert delta.shape == (k, model.dim)
     assert delta.tobytes() == whole.tobytes()
     assert states(parts_rng) == states(whole_rng)
+    # and row i is model i trained alone, pulled toward its own row of the anchor
+    for i, alone_rng in enumerate(generators()):
+        alone = sgd_train(model, x[i:i + 1], y[i:i + 1], epochs, 0.3, batch_size, [alone_rng],
+                          anchor[i:i + 1], pull)
+        assert whole[i].tobytes() == alone[0].tobytes()
+        assert alone_rng.bit_generator.state == whole_rng[i].bit_generator.state
+
+
+@pytest.mark.parametrize("batch_size", [64, 7])
+def test_sgd_train_stack_across_its_own_blocks_equals_each_model_alone(batch_size):
+    # two full blocks of the trainer's own size and one row more, in one batch or several
+    k = 2 * fedsim_model._BLOCK_ROWS + 1
+    model, datasets = stack_case(k, 20, (6,), 5)
+    x = np.stack([d.samples for d in datasets])
+    y = np.stack([d.labels for d in datasets])
+    rngs = [np.random.default_rng(i) for i in range(k)]
+    rows = sgd_train(model, x, y, 3, 0.3, batch_size, rngs)
+    for i, (row, data, rng) in enumerate(zip(rows, datasets, rngs)):
+        assert row.tobytes() == local_train(model, data, 3, 0.3, batch_size, i).tobytes()
+        twin = np.random.default_rng(i)
+        if batch_size < 20:
+            for _ in range(3):
+                twin.permutation(20)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @settings(max_examples=40, deadline=None)
